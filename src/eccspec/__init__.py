@@ -40,7 +40,6 @@ from .graphs import (
 from .io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .spectra import (
     Spectrum,
-    abs_root_sum,
     default_grouping_tol,
     energy,
     group_spectrum,
@@ -56,6 +55,7 @@ from .verification import (
     verify_bounds_and_extremals,
     verify_closed_forms,
     verify_equienergetic,
+    verify_equienergetic_pair,
     verify_lemma2,
 )
 
@@ -74,7 +74,6 @@ __all__ = [
     "Spectrum",
     "Surd",
     "VerificationReport",
-    "abs_root_sum",
     "all_pairs_distances",
     "antipodal_class",
     "antipodal_product_spectrum",
@@ -110,5 +109,6 @@ __all__ = [
     "verify_bounds_and_extremals",
     "verify_closed_forms",
     "verify_equienergetic",
+    "verify_equienergetic_pair",
     "verify_lemma2",
 ]

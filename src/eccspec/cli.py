@@ -11,12 +11,7 @@ import argparse
 import json
 import sys
 
-from .closed_form import (
-    energy_bounds,
-    equienergetic_pair,
-    multipartite_spectrum_closed,
-    radius_upper_bound,
-)
+from .closed_form import energy_bounds, multipartite_spectrum_closed, radius_upper_bound
 from .eccentricity import eccentricity_matrix
 from .errors import EccspecError
 from .graphs import MultipartiteSpec, build_multipartite
@@ -27,6 +22,7 @@ from .verification import (
     verify_bounds_and_extremals,
     verify_closed_forms,
     verify_equienergetic,
+    verify_equienergetic_pair,
     verify_lemma2,
 )
 
@@ -199,33 +195,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equienergetic(args) -> int:
-    product, partner, predicted = equienergetic_pair(args.n, args.i)
-    e_product = spectrum_energy(matrix_spectrum(eccentricity_matrix(product).matrix))
-    e_partner = spectrum_energy(matrix_spectrum(eccentricity_matrix(partner).matrix))
-    spectrum_product = matrix_spectrum(eccentricity_matrix(product).matrix)
-    zero_in_product = any(abs(v) < 1e-6 for v in spectrum_product.eigenvalues)
-    ok = (
-        abs(e_product - e_partner) < 1e-8
-        and abs(e_product - predicted) < 1e-8
-        and zero_in_product
-    )
+    report = verify_equienergetic_pair(args.n, args.i)
+    found = report.witnesses
     payload = {
         "n": args.n,
         "i": args.i,
-        "product_order": product.n,
-        "partner_parts": [args.n + args.i, args.n, args.n, args.n - args.i],
-        "predicted_energy": predicted,
-        "product_energy": _round12(e_product),
-        "partner_energy": _round12(e_partner),
-        "zero_in_product_spectrum": zero_in_product,
-        "pass": ok,
+        "product_order": found["product_order"],
+        "partner_parts": found["partner_parts"],
+        "predicted_energy": found["predicted_energy"],
+        "product_energy": _round12(found["product_energy"]),
+        "partner_energy": _round12(found["partner_energy"]),
+        "zero_in_product_spectrum": found["product_zero_multiplicity"] > 0,
+        "pass": report.passed,
     }
     if args.format == "text":
         for key, value in payload.items():
             print(f"{key} {value}")
     else:
         print(json.dumps(payload, indent=2))
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,6 @@ The spectrum of K_{n1,...,np} splits into three regimes:
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,9 +41,9 @@ CASE_PRODUCT_THM5 = "PRODUCT_THM5"
 class ClosedFormSpectrum:
     """Eigenvalues with multiplicities, sorted descending, plus provenance.
 
-    Values are exact (int or Surd) wherever the construction allows; only the
-    mixed regime with several distinct large class sizes introduces floats,
-    as simple roots of an integer polynomial.
+    Values are exact (int or Surd) wherever the construction allows; floats
+    appear only for irrational roots of the integer quotient polynomial in the
+    mixed regime with several distinct large class sizes.
     """
 
     entries: tuple[tuple[object, int], ...]
@@ -62,19 +61,6 @@ class ClosedFormSpectrum:
             out.extend([float(value)] * mult)
         return np.array(sorted(out, reverse=True))
 
-    def grouped(self, tol: float) -> list[tuple[float, int]]:
-        """(value, multiplicity) pairs with entries closer than tol merged."""
-        merged: list[list] = []
-        for value, mult in self.entries:
-            fv = float(value)
-            if merged and abs(merged[-1][0] - fv) <= tol:
-                total = merged[-1][1] + mult
-                merged[-1][0] = (merged[-1][0] * merged[-1][1] + fv * mult) / total
-                merged[-1][1] = total
-            else:
-                merged.append([fv, mult])
-        return [(v, m) for v, m in merged]
-
     def _has_float(self) -> bool:
         return any(isinstance(v, float) for v, _ in self.entries)
 
@@ -82,20 +68,13 @@ class ClosedFormSpectrum:
         """Sum of value*multiplicity; exact unless float entries are present."""
         if self._has_float():
             return float(sum(float(v) * m for v, m in self.entries))
-        total = Surd(0)
-        for value, mult in self.entries:
-            total = total + Surd(value) * mult if isinstance(value, (int, Fraction)) else total + value * mult
-        return simplify_value(total)
+        return simplify_value(sum((Surd._coerce(v) * m for v, m in self.entries), Surd(0)))
 
     def energy_exact(self):
         """Sum of |value|*multiplicity as an exact number, or None with floats."""
         if self._has_float():
             return None
-        total = Surd(0)
-        for value, mult in self.entries:
-            exact = Surd(value) if isinstance(value, (int, Fraction)) else value
-            total = total + abs(exact) * mult
-        return simplify_value(total)
+        return simplify_value(sum((abs(Surd._coerce(v)) * m for v, m in self.entries), Surd(0)))
 
     def energy(self) -> float:
         exact = self.energy_exact()
@@ -162,12 +141,23 @@ def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> lis
     return poly
 
 
-def _real_roots(int_coeffs: list[int]) -> list[float]:
+def _real_roots(int_coeffs: list[int]) -> list[int | float]:
+    # Roots of the arrowhead quotient are simple and strictly interlace its
+    # distinct even diagonal values, so no other root lies within 1/2 of an
+    # integer root: rounding each float root and confirming it by exact
+    # Horner evaluation recovers every integer root as an int.
     roots = np.roots(np.array(int_coeffs, dtype=np.float64))
     scale = 1.0 + max(abs(r) for r in roots)
     if np.abs(roots.imag).max() > 1e-9 * scale:
         raise ArithmeticError("quotient polynomial produced non-real roots")
-    return sorted((float(r) for r in roots.real), reverse=True)
+    out = []
+    for root in roots.real:
+        k = round(float(root))
+        value = 0
+        for coeff in int_coeffs:
+            value = value * k + coeff
+        out.append(k if value == 0 else float(root))
+    return sorted(out, reverse=True)
 
 
 def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:

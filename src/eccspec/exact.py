@@ -7,6 +7,7 @@ the final float conversion.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -129,48 +130,36 @@ class Surd:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.r)
 
-    def _diff_sign(self, other):
+    def _cmp(self, other, op):
+        if isinstance(other, float):
+            return op(float(self), other)
         o = self._coerce(other)
         if o is None:
-            return None
+            return NotImplemented
         try:
-            return (self - o).sign()
+            sign = (self - o).sign()
         except ArithmeticError:
             # distinct radicands: order by value; normalised surds over
             # different radicands can never be exactly equal, so the float
             # comparison is decisive
             a, b = float(self), float(o)
-            return (a > b) - (a < b)
+            sign = (a > b) - (a < b)
+        return op(sign, 0)
 
     def __eq__(self, other):
-        if isinstance(other, float):
-            return float(self) == other
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s == 0
+        return self._cmp(other, operator.eq)
 
     def __lt__(self, other):
-        if isinstance(other, float):
-            return float(self) < other
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s < 0
+        return self._cmp(other, operator.lt)
 
     def __le__(self, other):
-        if isinstance(other, float):
-            return float(self) <= other
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s <= 0
+        return self._cmp(other, operator.le)
 
     def __gt__(self, other):
-        if isinstance(other, float):
-            return float(self) > other
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s > 0
+        return self._cmp(other, operator.gt)
 
     def __ge__(self, other):
-        if isinstance(other, float):
-            return float(self) >= other
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s >= 0
+        return self._cmp(other, operator.ge)
 
     def __hash__(self):
         if self.b == 0:

@@ -54,12 +54,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return int(self.adjacency[u].sum())
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u, v])
-
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self.adjacency))
         return list(zip(us.tolist(), vs.tolist()))

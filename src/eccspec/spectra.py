@@ -16,7 +16,6 @@ from .errors import (
     EmptySpectrumError,
     InvalidPartitionError,
     NonSymmetricInputError,
-    PreconditionViolatedError,
 )
 
 JACOBI_SWEEP_CAP = 100
@@ -186,17 +185,3 @@ def quotient_eigenvalues(q: np.ndarray, class_sizes) -> np.ndarray:
     sym = (sym + sym.T) / 2.0
     return symmetric_eigenvalues(sym)
 
-
-def abs_root_sum(b, c):
-    """|x1| + |x2| for the roots of x**2 - b*x + c when b > 0 and c >= 0.
-
-    Both roots are then non-negative, so the answer is simply b.  A strictly
-    negative c (roots of opposite sign) or a negative discriminant is refused.
-    """
-    if b <= 0:
-        raise PreconditionViolatedError("b must be positive")
-    if c < 0:
-        raise PreconditionViolatedError("c must be non-negative")
-    if b * b - 4 * c < 0:
-        raise PreconditionViolatedError("roots are not real")
-    return b

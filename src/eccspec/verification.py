@@ -14,6 +14,7 @@ import numpy as np
 from .closed_form import (
     antipodal_product_spectrum,
     energy_bounds,
+    equienergetic_pair,
     multipartite_spectrum_closed,
     radius_upper_bound,
 )
@@ -29,7 +30,6 @@ from .graphs import (
 )
 from .spectra import (
     Spectrum,
-    default_grouping_tol,
     energy,
     matrix_spectrum,
     quotient_eigenvalues,
@@ -151,6 +151,14 @@ def _mixed_quotient_classes(spec: MultipartiteSpec) -> tuple[list[list[int]], li
     return merged, [len(c) for c in merged]
 
 
+def _check_complement_identity(report, spec, g, matrix) -> None:
+    # Lemma 2: on diameter-2 specs the eccentricity matrix is 2*A(complement)
+    dev = float(np.max(np.abs(ecc_via_complement(g).matrix - matrix)))
+    _record(report, dev)
+    if dev != 0.0:
+        _violation(report, spec, "complement_identity", 0, dev)
+
+
 def verify_closed_forms(n: int) -> VerificationReport:
     """Check the closed-form spectra against the numeric eigensolver for every
     partition of n with at least two classes.
@@ -180,22 +188,17 @@ def verify_closed_forms(n: int) -> VerificationReport:
             _violation(
                 report, spec, "spectrum_values", numeric_eigs.tolist(), closed_eigs.tolist()
             )
-        tol = default_grouping_tol(em.matrix)
-        closed_groups = closed.grouped(tol)
-        numeric_groups = list(numeric.groups)
-        if [m for _, m in closed_groups] != [m for _, m in numeric_groups]:
+        if [m for _, m in closed.entries] != [m for _, m in numeric.groups]:
             _violation(
                 report,
                 spec,
                 "multiplicities",
-                [[v, m] for v, m in numeric_groups],
-                [[v, m] for v, m in closed_groups],
+                [[v, m] for v, m in numeric.groups],
+                [[float(v), m] for v, m in closed.entries],
             )
 
         if all(size >= 2 for size in spec.parts):
-            shortcut = ecc_via_complement(g)
-            if not np.array_equal(shortcut.matrix, em.matrix):
-                _violation(report, spec, "complement_identity", "2*A(complement) == ecc matrix", "mismatch")
+            _check_complement_identity(report, spec, g, em.matrix)
         elif any(size >= 2 for size in spec.parts):
             classes, sizes = _mixed_quotient_classes(spec)
             q, equitable = quotient_matrix(em.matrix, classes)
@@ -223,12 +226,7 @@ def verify_lemma2(n: int) -> VerificationReport:
             continue
         report.cases += 1
         g = build_multipartite(spec)
-        em = eccentricity_matrix(g)
-        shortcut = ecc_via_complement(g)
-        dev = float(np.max(np.abs(shortcut.matrix - em.matrix)))
-        _record(report, dev)
-        if dev != 0.0:
-            _violation(report, spec, "complement_identity", 0, dev)
+        _check_complement_identity(report, spec, g, eccentricity_matrix(g).matrix)
     report.witnesses["specs_checked"] = report.cases
     return report
 
@@ -323,13 +321,73 @@ def _sample_indices(count: int, cap: int) -> list[int]:
     return picked.tolist()
 
 
+def _check_product(report, n: int, product, predicted: int) -> tuple[float, int]:
+    # K_{n,n} (x) K_2 against the antipodal product spectrum with a = n and
+    # diameter 2 and against the predicted energy; returns the numeric energy
+    # and zero multiplicity
+    label = [n, n, "x", 2]
+    em = eccentricity_matrix(product)
+    spectrum = matrix_spectrum(em.matrix)
+    _oracle_check(report, label, em.matrix, spectrum)
+    e_product = energy(spectrum)
+    closed_eigs = antipodal_product_spectrum(2 * n, n, 2, 2).eigenvalues()
+    numeric_eigs = np.array(spectrum.eigenvalues)
+    dev = float(np.max(np.abs(closed_eigs - numeric_eigs)))
+    _record(report, dev)
+    if dev >= TOL_MATCH:
+        _violation(report, label, "product_spectrum", closed_eigs.tolist(), numeric_eigs.tolist())
+    zero_mult = int(np.sum(np.abs(numeric_eigs) < ZERO_EIG_TOL))
+    if zero_mult != 2 * n:
+        _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
+    if abs(e_product - predicted) >= TOL_MATCH:
+        _violation(report, label, "product_energy", predicted, e_product)
+    return e_product, zero_mult
+
+
+def _check_partner(report, spec, partner, e_product: float, predicted: int) -> float:
+    # the partner must share the product's energy but not its zero eigenvalue
+    report.cases += 1
+    spectrum = matrix_spectrum(eccentricity_matrix(partner).matrix)
+    e_partner = energy(spectrum)
+    dev = abs(e_product - e_partner)
+    _record(report, dev)
+    if dev >= TOL_MATCH:
+        _violation(report, spec, "pair_energy", e_product, e_partner)
+    if abs(e_partner - predicted) >= TOL_MATCH:
+        _violation(report, spec, "predicted_energy", predicted, e_partner)
+    if np.min(np.abs(np.array(spectrum.eigenvalues))) < ZERO_EIG_TOL:
+        _violation(report, spec, "zero_absent", "no zero eigenvalue", "zero present")
+    return e_partner
+
+
+def verify_equienergetic_pair(n: int, i: int) -> VerificationReport:
+    """Check the single pair equienergetic_pair(n, i) with the same product and
+    partner checks as verify_equienergetic; witnesses carry both energies."""
+    product, partner, predicted = equienergetic_pair(n, i)
+    spec = MultipartiteSpec((n + i, n, n, n - i))
+    report = VerificationReport("equienergetic_pair", n)
+    e_product, zero_mult = _check_product(report, n, product, predicted)
+    e_partner = _check_partner(report, spec, partner, e_product, predicted)
+    report.witnesses.update(
+        {
+            "product_order": product.n,
+            "partner_parts": list(spec.parts),
+            "predicted_energy": predicted,
+            "product_energy": e_product,
+            "partner_energy": e_partner,
+            "product_zero_multiplicity": zero_mult,
+        }
+    )
+    return report
+
+
 def verify_equienergetic(n_max: int) -> VerificationReport:
     """Check the equienergetic pair construction for every n up to n_max.
 
     Per n: the strong product K_{n,n} (x) K_2 must match the antipodal product
-    spectrum (including the zero eigenvalue of multiplicity 2n), and every
-    partner K_{n+i,n,n,n-i} must reach the same energy 16(n-1) while missing
-    the zero eigenvalue.  On top of the pairs, all specs of order 4n whose
+    spectrum (including the zero eigenvalue of multiplicity 2n) and reach
+    energy 16(n-1), and every partner K_{n+i,n,n,n-i} must reach the same
+    energy while missing the zero eigenvalue.  On top of the pairs, all specs of order 4n whose
     classes have size >= 2 are swept (sampled above GROUP_CHECK_CAP per order)
     to confirm that equal order and equal class count force equal energy.
     """
@@ -344,38 +402,11 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
         if a != n or d != 2:
             _violation(report, MultipartiteSpec((n, n)), "antipodal_structure", [n, 2], [a, d])
             continue
-        product = strong_product(base, complete(2))
-        em_product = eccentricity_matrix(product)
-        spectrum_product = matrix_spectrum(em_product.matrix)
-        _oracle_check(report, [n, n, "x", 2], em_product.matrix, spectrum_product)
-        e_product = energy(spectrum_product)
-
-        predicted = antipodal_product_spectrum(2 * n, a, d, 2)
-        closed_eigs = predicted.eigenvalues()
-        numeric_eigs = np.array(spectrum_product.eigenvalues)
-        dev = float(np.max(np.abs(closed_eigs - numeric_eigs)))
-        _record(report, dev)
-        if dev >= TOL_MATCH:
-            _violation(report, [n, n, "x", 2], "product_spectrum", closed_eigs.tolist(), numeric_eigs.tolist())
-        zero_mult = int(np.sum(np.abs(numeric_eigs) < ZERO_EIG_TOL))
-        if zero_mult != 2 * n:
-            _violation(report, [n, n, "x", 2], "zero_multiplicity", 2 * n, zero_mult)
-
+        predicted = 16 * (n - 1)
+        e_product, _ = _check_product(report, n, strong_product(base, complete(2)), predicted)
         for i in range(0, n - 1):
-            report.cases += 1
             partner_spec = MultipartiteSpec((n + i, n, n, n - i))
-            em_partner = eccentricity_matrix(build_multipartite(partner_spec))
-            spectrum_partner = matrix_spectrum(em_partner.matrix)
-            e_partner = energy(spectrum_partner)
-            dev = abs(e_product - e_partner)
-            _record(report, dev)
-            if dev >= TOL_MATCH:
-                _violation(report, partner_spec, "pair_energy", e_product, e_partner)
-            if abs(e_partner - 16 * (n - 1)) >= TOL_MATCH:
-                _violation(report, partner_spec, "predicted_energy", 16 * (n - 1), e_partner)
-            partner_eigs = np.array(spectrum_partner.eigenvalues)
-            if np.min(np.abs(partner_eigs)) < ZERO_EIG_TOL:
-                _violation(report, partner_spec, "zero_absent", "no zero eigenvalue", "zero present")
+            _check_partner(report, partner_spec, build_multipartite(partner_spec), e_product, predicted)
 
         # equal order + equal class count forces equal energy 4(order - p)
         order = 4 * n

@@ -99,6 +99,15 @@ def test_verify_emits_schema_conformant_json(capsys):
     assert payload["pass"] is True and payload["cases"] == 10
 
 
+@pytest.mark.parametrize("parts", ["4,2,2,1,1", "4,3,3,1,1", "6,2,2,2,1"])
+def test_closed_route_groups_match_the_numeric_route(capsys, parts):
+    # integer quotient roots used to print as a second, split group
+    _, closed_out, _ = run(capsys, "spectrum", "--parts", parts)
+    code, numeric_out, _ = run(capsys, "spectrum", "--parts", parts, "--numeric")
+    assert code == 0
+    assert closed_out == numeric_out
+
+
 def test_verify_sweep_emits_an_array(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "2", "--nmax", "6")
     assert code == 0

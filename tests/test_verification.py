@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import eccspec as es
 import eccspec.closed_form as closed_form
+from eccspec.cli import main as cli_main
 from eccspec.errors import PreconditionViolatedError
 
 # standard partition counts p(1)..p(14)
@@ -110,6 +112,20 @@ def test_fault_injection_flips_the_report(monkeypatch):
     report = es.verify_closed_forms(5)
     assert not report.passed
     assert report.violations
+
+
+def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
+    # a float-only root finder splits K_{4,2,2,1,1}'s eigenvalue -2 over two
+    # closed-form entries; the multiplicity check compares them unmerged
+    def float_roots(int_coeffs):
+        roots = np.roots(np.array(int_coeffs, dtype=np.float64))
+        return sorted((float(r) for r in roots.real), reverse=True)
+
+    monkeypatch.setattr(closed_form, "_real_roots", float_roots)
+    report = es.verify_closed_forms(10)
+    assert any(v["check"] == "multiplicities" for v in report.violations)
+    assert cli_main(["verify", "--theorem", "1", "--n", "10"]) == 1
+    capsys.readouterr()
 
 
 def test_report_schema_is_json_round_trippable():
