@@ -5,7 +5,7 @@ Three regimes cover every K_{n1,...,np}: all classes large, all singletons,
 and the mixed case where the singletons form a dominating clique.  The mixed
 case with one large class keeps its two non-structural eigenvalues as exact
 quadratic surds; with several large classes they come from a small equitable
-quotient.  Everything is cross-checked against the Jacobi eigensolver.
+quotient.  Everything is cross-checked against the library's eigensolver.
 """
 
 import numpy as np

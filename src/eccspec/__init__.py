@@ -1,10 +1,10 @@
 """Eccentricity matrices, spectra and energies of graphs.
 
 The library builds eccentricity (anti-adjacency) matrices from simple
-undirected graphs, computes their spectra with a self-contained Jacobi
-eigensolver, carries exact closed-form spectra for complete multipartite
-graphs, and ships a verification harness that cross-checks every closed form
-and bound against the numeric route.
+undirected graphs, computes their spectra with a self-contained Householder
++ implicit-QL eigensolver, carries exact closed-form spectra for complete
+multipartite graphs, and ships a verification harness that cross-checks every
+closed form and bound against the numeric route.
 """
 
 from .closed_form import (

@@ -26,7 +26,7 @@ class NonSymmetricInputError(EccspecError):
 
 
 class ConvergenceFailureError(EccspecError):
-    """The eigensolver hit its sweep cap; signals a bug, not bad data."""
+    """The eigensolver hit its iteration cap; signals a bug, not bad data."""
 
 
 class InvalidPartitionError(EccspecError):

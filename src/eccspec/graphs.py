@@ -158,29 +158,32 @@ class DistanceMatrix:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS distances between all pairs, computed by boolean matrix powers.
+    """BFS distances between all pairs, one level at a time from every source.
+
+    Row s of the frontier holds the vertices first reached from s at the
+    current level; one float32 matrix product expands every frontier at
+    once.  Each product entry counts frontier neighbours, at most n, which
+    float32 holds exactly (unlike the wrapping counts of a uint8 product).
 
     Raises DisconnectedGraphError when some pair is unreachable, since the
     eccentricity (and everything downstream of it) is undefined there.
     """
-    n = g.n
-    dist = np.where(g.adjacency, 1, -1).astype(np.int64)
-    np.fill_diagonal(dist, 0)
-    reach = g.adjacency.copy()
-    adj8 = g.adjacency.astype(np.uint8)
+    adj = g.adjacency.astype(np.float32)
+    dist = g.adjacency.astype(np.int64)
+    unseen = ~g.adjacency
+    np.fill_diagonal(unseen, False)
+    frontier = adj
     d = 1
-    while True:
-        unknown = dist < 0
-        if not unknown.any():
-            break
-        reach = (reach.astype(np.uint8) @ adj8) > 0
-        newly = reach & unknown
+    while unseen.any():
+        newly = (frontier @ adj > 0) & unseen
         if not newly.any():
             raise DisconnectedGraphError(
                 "graph is disconnected; eccentricities are undefined"
             )
         d += 1
         dist[newly] = d
+        unseen &= ~newly
+        frontier = newly.astype(np.float32)
     dist.setflags(write=False)
     ecc = dist.max(axis=1)
     ecc.setflags(write=False)

@@ -1,9 +1,10 @@
 """Exhaustive numeric verification of the closed-form results.
 
 Each verifier enumerates integer partitions, builds the actual graphs, runs
-the Jacobi eigensolver on their eccentricity matrices, and compares against
-the closed forms and bounds.  Findings land in a VerificationReport; a report
-passes exactly when its violations list is empty.
+the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
+eccentricity matrices, and compares against the closed forms and bounds.
+Findings land in a VerificationReport; a report passes exactly when its
+violations list is empty.
 """
 
 import json

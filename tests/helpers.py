@@ -1,6 +1,8 @@
 """Independent oracles for the tests: slow but obviously-correct routines
 that never touch the library's own code paths."""
 
+import math
+
 import numpy as np
 
 
@@ -36,3 +38,47 @@ def eccentricity_by_definition(adjacency) -> np.ndarray:
             if u != v and dist[u, v] == min(ecc[u], ecc[v]):
                 out[u, v] = dist[u, v]
     return out
+
+
+def jacobi_eigenvalues(matrix) -> np.ndarray:
+    """Descending eigenvalues by cyclic Jacobi rotations on a float copy.
+
+    Sweeps run until the off-diagonal Frobenius norm drops below 1e-12 times
+    the input norm, at most 100 of them.  Slow (a Python double loop per sweep) but independent of
+    both LAPACK and the library's Householder + QL solver.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        return np.zeros(n)
+
+    def offdiag_norm():
+        # sum only off-diagonal squares: subtracting the diagonal mass from
+        # the total cancels catastrophically once a is nearly diagonal
+        upper = a[np.triu_indices(n, 1)]
+        return math.sqrt(2.0 * float(np.dot(upper, upper)))
+
+    for _ in range(100):
+        if offdiag_norm() < 1e-12 * norm:
+            return np.sort(np.diagonal(a))[::-1].copy()
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    raise AssertionError("Jacobi oracle did not converge in 100 sweeps")

@@ -76,6 +76,15 @@ def test_eccmx_prints_integer_rows(capsys):
     assert out == "0 2 1 1\n2 0 1 1\n1 1 0 1\n1 1 1 0\n"
 
 
+def test_eccmx_handles_a_class_pair_with_256_common_neighbours(capsys):
+    code, out, _ = run(capsys, "eccmx", "--parts", "256,2")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 258
+    # ecc 2 everywhere, so only the distance-2 pairs survive
+    assert rows[-1] == " ".join(["0"] * 256 + ["2", "0"])
+
+
 def test_eccmx_accepts_graph6_input(capsys):
     g6 = es.emit_graph6(es.build_multipartite([2, 2]))
     code, out, _ = run(capsys, "eccmx", "--g6", g6)

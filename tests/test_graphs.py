@@ -189,6 +189,27 @@ def test_distances_match_floyd_warshall_and_triangle_inequality():
         checked += 1
 
 
+@pytest.mark.parametrize("parts", [[256, 2], [512, 2]])
+def test_distances_survive_more_than_255_common_neighbours(parts):
+    # the two vertices of the small class share 256 or 512 neighbours
+    g = es.build_multipartite(parts)
+    dm = es.all_pairs_distances(g)
+    assert np.array_equal(dm.matrix, floyd_warshall_distances(g.adjacency))
+    assert dm.diameter == 2
+
+
+def test_path_distances_match_floyd_warshall():
+    g = path_graph(60)
+    dm = es.all_pairs_distances(g)
+    assert np.array_equal(dm.matrix, floyd_warshall_distances(g.adjacency))
+    assert dm.diameter == 59
+
+
+def test_distance_outputs_are_read_only():
+    dm = es.all_pairs_distances(path_graph(5))
+    assert not dm.matrix.flags.writeable and not dm.eccentricities.flags.writeable
+
+
 def test_disconnected_graph_is_rejected():
     with pytest.raises(DisconnectedGraphError):
         es.all_pairs_distances(es.build_multipartite([4]))

@@ -1,4 +1,4 @@
-"""Jacobi eigensolver, spectrum grouping, energy, radius, quotients."""
+"""Eigensolver, spectrum grouping, energy, radius, quotients."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eccspec as es
+from helpers import jacobi_eigenvalues
 from eccspec.errors import (
     ConvergenceFailureError,
     EmptySpectrumError,
@@ -66,6 +67,81 @@ def test_non_symmetric_input_is_rejected():
 def test_sweep_cap_raises_convergence_failure():
     with pytest.raises(ConvergenceFailureError):
         es.symmetric_eigenvalues(np.array([[0, 1], [1, 0]]), sweep_cap=0)
+
+
+def test_zero_test_does_not_underflow():
+    # the Frobenius norm of this matrix underflows to 0
+    eigs = es.symmetric_eigenvalues(np.array([[0.0, 1e-300], [1e-300, 0.0]]))
+    assert eigs.tolist() == pytest.approx([1e-300, -1e-300], rel=1e-12, abs=0)
+
+
+def random_symmetric_integers(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-5, 6, size=(n, n))
+    return np.triu(m) + np.triu(m, 1).T
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_power_of_two_scaling_is_exact(exponent):
+    m = random_symmetric_integers(12, 7)
+    scaled = es.symmetric_eigenvalues(np.ldexp(m.astype(float), exponent))
+    assert np.array_equal(scaled, np.ldexp(es.symmetric_eigenvalues(m), exponent))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+def test_extreme_scales_match_lapack(scale):
+    m = random_symmetric_integers(12, 8)
+    ref = np.sort(np.linalg.eigvalsh(m.astype(float)))[::-1]
+    eigs = es.symmetric_eigenvalues(m * scale) / scale
+    assert np.max(np.abs(eigs - ref)) < 1e-10 * np.linalg.norm(m)
+
+
+# differential: the solver against the Jacobi oracle and LAPACK
+
+
+def assert_matches_both_oracles(m):
+    m = np.asarray(m)
+    eigs = es.symmetric_eigenvalues(m)
+    bound = 1e-10 * max(1.0, float(np.linalg.norm(m)))
+    lapack = np.sort(np.linalg.eigvalsh(m.astype(float)))[::-1]
+    assert np.max(np.abs(eigs - jacobi_eigenvalues(m))) < bound
+    assert np.max(np.abs(eigs - lapack)) < bound
+    return eigs, bound
+
+
+def test_every_connected_partition_up_to_ten():
+    checked = 0
+    for n in range(2, 11):
+        for spec in es.enumerate_partitions(n, connected_only=True):
+            assert_matches_both_oracles(ecc(spec))
+            checked += 1
+    assert checked == 128  # sum of p(n) - 1 over n = 2..10
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_antipodal_product_keeps_its_zero_multiplicity(n):
+    g = es.strong_product(es.build_multipartite([n, n]), es.complete(2))
+    eigs, bound = assert_matches_both_oracles(es.eccentricity_matrix(g).matrix)
+    assert int(np.sum(np.abs(eigs) < bound)) == 2 * n
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.diag([3.0, -1.0, 0.0, 7.0, -1.0]),
+        np.diag([2.0, 1.0, 0.0, -4.0]) + np.diag([1.0, 0.5, 3.0], 1) + np.diag([1.0, 0.5, 3.0], -1),
+        np.outer([1.0, -2.0, 3.0, 0.0, 5.0], [1.0, -2.0, 3.0, 0.0, 5.0]),
+        np.ones((6, 6), dtype=int),
+    ],
+    ids=["diagonal", "tridiagonal", "rank-1", "all-ones"],
+)
+def test_structured_inputs(m):
+    assert_matches_both_oracles(m)
+
+
+@pytest.mark.parametrize("n", [3, 8, 17, 33, 72])
+def test_random_integer_matrices_against_both_oracles(n):
+    assert_matches_both_oracles(random_symmetric_integers(n, 100 + n))
 
 
 # grouping
