@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Closed-form eccentricity spectra of complete multipartite graphs.
 
-Three regimes cover every K_{n1,...,np}: all classes large, all singletons,
-and the mixed case where the singletons form a dominating clique.  The mixed
-case with one large class keeps its two non-structural eigenvalues as exact
-quadratic surds; with several large classes they come from a small equitable
-quotient.  Everything is cross-checked against the library's eigensolver.
+With every class of size >= 2 the spectrum is the doubled complement's;
+otherwise the singletons form a dominating clique and the non-structural
+eigenvalues are the roots of one small equitable quotient over the distinct
+large class sizes and the clique.  With at most one distinct large size the
+quotient has degree <= 2 and its roots are exact ints or quadratic surds;
+with several distinct sizes irrational roots become floats.  Everything is
+cross-checked against the library's eigensolver.
 """
 
 import numpy as np
@@ -31,15 +33,15 @@ def main():
     compare([2, 2])
     compare([4, 3, 2])
 
-    print("\n=== all singletons: the complete graph ===")
+    print("\n=== all singletons: the complete graph, a degree-1 quotient ===")
     compare([1, 1, 1, 1, 1])
 
-    print("\n=== one large class: exact surd roots of an integer quadratic ===")
+    print("\n=== one distinct large size: exact surds ===")
     compare([3, 1])
     compare([2, 1, 1])
-
-    print("\n=== several large classes plus singletons: quotient eigenvalues ===")
     compare([2, 2, 1])
+
+    print("\n=== several distinct large sizes: float quotient roots ===")
     compare([3, 2, 1, 1])
 
     print("\nExact trace checks (sum of value * multiplicity):")

@@ -16,10 +16,8 @@ from .closed_form import (
     antipodal_product_spectrum,
     energy_bounds,
     equienergetic_pair,
-    multipartite_energy_closed,
     multipartite_spectrum_closed,
     radius_upper_bound,
-    split_quadratic_coefficients,
 )
 from .eccentricity import EccentricityMatrix, ecc_via_complement, eccentricity_matrix
 from .exact import Surd, quadratic_roots
@@ -93,7 +91,6 @@ __all__ = [
     "equienergetic_pair",
     "group_spectrum",
     "matrix_spectrum",
-    "multipartite_energy_closed",
     "multipartite_spectrum_closed",
     "parse_edge_list",
     "parse_graph6",
@@ -102,7 +99,6 @@ __all__ = [
     "quotient_matrix",
     "radius_upper_bound",
     "spectral_radius",
-    "split_quadratic_coefficients",
     "star",
     "strong_product",
     "symmetric_eigenvalues",

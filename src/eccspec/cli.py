@@ -78,11 +78,6 @@ def _emit_groups(groups, fmt: str, meta: dict) -> None:
             print(f"{format_number(value)} {mult}")
 
 
-def _closed_groups(spec: MultipartiteSpec) -> list[tuple[float, int]]:
-    closed = multipartite_spectrum_closed(spec)
-    return [(float(value), mult) for value, mult in closed.entries]
-
-
 def _cmd_gen(args) -> int:
     g = build_multipartite(args.parts)
     if args.out == "graph6":
@@ -114,7 +109,7 @@ def _cmd_spectrum(args) -> int:
     g, spec = _resolve_graph(args)
     mode = _spectrum_mode(args, spec)
     if mode == "closed":
-        groups = _closed_groups(spec)
+        groups = multipartite_spectrum_closed(spec).entries
     else:
         groups = list(matrix_spectrum(eccentricity_matrix(g).matrix, tol=args.tol).groups)
     meta = {"n": g.n, "source": mode}

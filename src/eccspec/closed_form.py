@@ -2,19 +2,19 @@
 multipartite graphs, plus the antipodal strong-product spectrum and the
 equienergetic pair construction built from it.
 
-The spectrum of K_{n1,...,np} splits into three regimes:
+The spectrum of K_{n1,...,np} comes from one of two routes:
 
 * every class of size >= 2: twice the adjacency spectrum of the complement
   (a disjoint union of cliques), i.e. 2(ni - 1) per class and -2 with
   multiplicity n - p;
-* every class a singleton: the complete graph, n - 1 and -1 repeated;
-* mixed: the singleton classes form a dominating clique.  Structural
-  eigenvalues -2 and -1 come from differences inside the large classes and
-  inside the clique; the remaining eigenvalues belong to the equitable
-  quotient over (large classes..., clique).  With exactly one large class the
-  quotient is 2x2 and its roots are kept as exact quadratic surds; with
-  several, repeated class sizes are deflated exactly and the rest are the
-  simple roots of a small integer characteristic polynomial.
+* at least one singleton class: the singletons form a dominating clique.
+  Structural eigenvalues -2 and -1 come from differences inside the large
+  classes and inside the clique, and repeated large class sizes deflate
+  exactly to 2(m - 1); the remaining eigenvalues are the simple roots of the
+  equitable quotient over (distinct large sizes..., clique), a monic integer
+  polynomial.  Degree 1 (the complete graph) and degree 2 (one distinct large
+  size) give exact ints and quadratic surds; higher degrees keep integer
+  roots exact and the rest as floats.
 """
 
 import math
@@ -42,8 +42,8 @@ class ClosedFormSpectrum:
     """Eigenvalues with multiplicities, sorted descending, plus provenance.
 
     Values are exact (int or Surd) wherever the construction allows; floats
-    appear only for irrational roots of the integer quotient polynomial in the
-    mixed regime with several distinct large class sizes.
+    appear only for irrational roots of a quotient polynomial of degree >= 3,
+    i.e. specs with singletons and at least two distinct large class sizes.
     """
 
     entries: tuple[tuple[object, int], ...]
@@ -101,12 +101,6 @@ def _sorted_entries(pairs) -> tuple[tuple[object, int], ...]:
     return tuple((v, m) for v, m in order)
 
 
-def split_quadratic_coefficients(p1: int, p2: int) -> tuple[int, int]:
-    """Coefficients (b, c) of x**2 - b*x + c for the split regime: an
-    independent set of p1 vertices joined to a clique on p2 vertices."""
-    return 2 * p1 + p2 - 3, p1 * p2 - 2 * p1 - 2 * p2 + 2
-
-
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
@@ -160,6 +154,16 @@ def _real_roots(int_coeffs: list[int]) -> list[int | float]:
     return sorted(out, reverse=True)
 
 
+def _quotient_roots(poly: list[int]) -> list:
+    # the quotient polynomial is monic: degree 1 is the complete graph's
+    # n - 1, degree 2 keeps exact surds, higher degrees go through np.roots
+    if len(poly) == 2:
+        return [-poly[1]]
+    if len(poly) == 3:
+        return list(quadratic_roots(-poly[1], poly[2]))
+    return _real_roots(poly)
+
+
 def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
     """Exact eccentricity spectrum of the complete multipartite graph.
 
@@ -176,38 +180,20 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
     large = [x for x in spec.parts if x >= 2]
     singles = p - len(large)
 
-    if not large:
-        entries = _sorted_entries([(n - 1, 1), (-1, n - 1)])
-        return ClosedFormSpectrum(entries, CASE_COMPLETE_GRAPH, params)
-
     if singles == 0:
         pairs = [(2 * (size - 1), count) for size, count in Counter(large).items()]
         pairs.append((-2, n - p))
         return ClosedFormSpectrum(_sorted_entries(pairs), CASE_ALL_PARTS_GE_2, params)
 
-    p1 = sum(large)
-    p2 = singles
-    params.update({"independent_size": p1, "clique_size": p2, "large_classes": len(large)})
-    pairs = [(-2, p1 - len(large)), (-1, p2 - 1)]
-    if len(large) == 1:
-        b, c = split_quadratic_coefficients(p1, p2)
-        params["quadratic"] = (b, c)
-        r_plus, r_minus = quadratic_roots(b, c)
-        pairs.extend([(r_plus, 1), (r_minus, 1)])
-    else:
-        counts = sorted(Counter(large).items(), reverse=True)
-        for size, count in counts:
-            if count >= 2:
-                pairs.append((2 * (size - 1), count - 1))
-        poly = _arrow_char_poly(counts, singles)
-        params["quotient_poly"] = tuple(poly)
-        pairs.extend((root, 1) for root in _real_roots(poly))
-    return ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, params)
-
-
-def multipartite_energy_closed(parts) -> float:
-    """Closed-form eccentricity energy: sum of |eigenvalue| * multiplicity."""
-    return multipartite_spectrum_closed(parts).energy()
+    counts = sorted(Counter(large).items(), reverse=True)
+    poly = _arrow_char_poly(counts, singles)
+    params.update({"independent_size": sum(large), "clique_size": singles,
+                   "large_classes": len(large), "quotient_poly": tuple(poly)})
+    pairs = [(-2, sum(large) - len(large)), (-1, singles - 1)]
+    pairs.extend((2 * (size - 1), count - 1) for size, count in counts)
+    pairs.extend((root, 1) for root in _quotient_roots(poly))
+    case = CASE_SPLIT_MIXED if large else CASE_COMPLETE_GRAPH
+    return ClosedFormSpectrum(_sorted_entries(pairs), case, params)
 
 
 def radius_upper_bound(n: int, allow_small: bool = False) -> float:

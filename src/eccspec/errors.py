@@ -49,11 +49,11 @@ class MalformedHeaderError(EdgeListFormatError):
     """The edge-list header or line structure is not 'n m' plus m edge lines."""
 
 
-class VertexOutOfRangeError(EdgeListFormatError):
+class VertexOutOfRangeError(EdgeListFormatError, ValueError):
     """An edge names a vertex outside 0..n-1."""
 
 
-class SelfLoopError(EdgeListFormatError):
+class SelfLoopError(EdgeListFormatError, ValueError):
     """An edge joins a vertex to itself."""
 
 

@@ -172,7 +172,10 @@ class Surd:
     def __str__(self):
         if self.b == 0:
             return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.r})"
+        root = f"sqrt({self.r})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.r})"
+        if self.a == 0:
+            return root if self.b > 0 else f"-{root}"
+        return f"{self.a} {'+' if self.b > 0 else '-'} {root}"
 
 
 def quadratic_roots(b, c) -> tuple[Surd, Surd]:

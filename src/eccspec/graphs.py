@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InvalidSpecError, PreconditionViolatedError
+from .errors import (
+    DisconnectedGraphError,
+    InvalidSpecError,
+    PreconditionViolatedError,
+    SelfLoopError,
+    VertexOutOfRangeError,
+)
 
 
 class Graph:
@@ -34,13 +40,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build a graph on n vertices from (u, v) pairs; duplicates are fine."""
+        """Build a graph on n vertices from (u, v) pairs; duplicates are fine.
+
+        Raises VertexOutOfRangeError or SelfLoopError, both ValueErrors.
+        """
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise SelfLoopError(f"self-loop at vertex {u}")
             adj[u, v] = adj[v, u] = True
         return cls(adj)
 

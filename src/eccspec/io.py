@@ -13,9 +13,7 @@ from .errors import (
     Graph6FormatError,
     InvalidByteError,
     MalformedHeaderError,
-    SelfLoopError,
     TruncatedPayloadError,
-    VertexOutOfRangeError,
 )
 from .graphs import Graph
 
@@ -40,21 +38,16 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedHeaderError(f"need n >= 1 and m >= 0, got n={n} m={m}")
     if len(lines) - 1 != m:
         raise MalformedHeaderError(f"header promises {m} edges, found {len(lines) - 1} lines")
-    adj = np.zeros((n, n), dtype=bool)
+    edges = []
     for ln in lines[1:]:
         tokens = ln.split()
         if len(tokens) != 2:
             raise MalformedHeaderError(f"edge line must be 'u v', got {ln!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            edges.append((int(tokens[0]), int(tokens[1])))
         except ValueError as exc:
             raise MalformedHeaderError(f"edge line must be two integers, got {ln!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        adj[u, v] = adj[v, u] = True
-    return Graph(adj)
+    return Graph.from_edges(n, edges)
 
 
 def emit_edge_list(g: Graph) -> str:

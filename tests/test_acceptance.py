@@ -165,13 +165,15 @@ def test_criterion_9_fault_injection_turns_the_run_red(monkeypatch, capsys):
     assert cli_main(["verify", "--theorem", "1", "--n", "6"]) == 0
     capsys.readouterr()
 
-    def perturbed(p1, p2):
-        b, c = 2 * p1 + p2 - 3, p1 * p2 - 2 * p1 - 2 * p2 + 2
-        return b, c + 1
+    original = closed_form._arrow_char_poly
 
-    monkeypatch.setattr(closed_form, "split_quadratic_coefficients", perturbed)
+    def perturbed(distinct_sizes, singles):
+        poly = original(distinct_sizes, singles)
+        return poly[:-1] + [poly[-1] + 1]
+
+    monkeypatch.setattr(closed_form, "_arrow_char_poly", perturbed)
     code = cli_main(["verify", "--theorem", "1", "--n", "6"])
     capsys.readouterr()
     assert code == 1
-    print("\nCRITERION 9 PASS: +1 on the split-quadratic constant makes the "
+    print("\nCRITERION 9 PASS: +1 on the quotient polynomial's constant makes the "
           "closed-form verification exit non-zero")

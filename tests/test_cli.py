@@ -132,11 +132,13 @@ def test_verify_equienergetic_suite(capsys):
 
 
 def test_verify_fails_with_exit_one_under_fault_injection(capsys, monkeypatch):
-    def perturbed(p1, p2):
-        b, c = 2 * p1 + p2 - 3, p1 * p2 - 2 * p1 - 2 * p2 + 2
-        return b, c + 1
+    original = closed_form._arrow_char_poly
 
-    monkeypatch.setattr(closed_form, "split_quadratic_coefficients", perturbed)
+    def perturbed(distinct_sizes, singles):
+        poly = original(distinct_sizes, singles)
+        return poly[:-1] + [poly[-1] + 1]
+
+    monkeypatch.setattr(closed_form, "_arrow_char_poly", perturbed)
     code, out, _ = run(capsys, "verify", "--theorem", "1", "--n", "6")
     assert code == 1
     assert json.loads(out)["pass"] is False

@@ -28,6 +28,7 @@ def test_complete_graph_case():
     closed = es.multipartite_spectrum_closed([1, 1, 1, 1])
     assert closed.case_tag == es.CASE_COMPLETE_GRAPH
     assert closed.entries == ((3, 1), (-1, 3))
+    assert closed.params["quotient_poly"] == (1, -3)
 
 
 def test_all_large_case_doubles_the_complement_spectrum():
@@ -44,15 +45,27 @@ def test_split_case_keeps_exact_roots():
     closed = es.multipartite_spectrum_closed([3, 1])
     assert closed.case_tag == es.CASE_SPLIT_MIXED
     assert closed.entries == ((Surd(2, 1, 7), 1), (Surd(2, -1, 7), 1), (-2, 2))
-    assert closed.params["quadratic"] == (4, -3)
+    assert closed.params["quotient_poly"] == (1, -4, -3)
 
 
 def test_mixed_case_with_two_large_classes():
-    # two large classes plus a singleton escape the split-quadratic regime
+    # the repeated size 2 deflates to the eigenvalue 2, leaving a quadratic
+    # quotient x^2 - 2x - 4 whose roots 1 +- sqrt(5) stay exact
     closed = es.multipartite_spectrum_closed([2, 2, 1])
-    expected = sorted([1 + math.sqrt(5), 2.0, -2.0, -2.0, 1 - math.sqrt(5)], reverse=True)
-    assert np.allclose(closed.eigenvalues(), expected, atol=1e-10)
+    assert closed.params["quotient_poly"] == (1, -2, -4)
+    assert closed.entries == ((Surd(1, 1, 5), 1), (2, 1), (Surd(1, -1, 5), 1), (-2, 2))
+    assert closed.energy_exact() == Surd(6, 2, 5)
     assert np.allclose(closed.eigenvalues(), numeric_spectrum([2, 2, 1]), atol=1e-9)
+
+
+def test_one_distinct_large_size_is_exact():
+    for n in range(2, 15):
+        for spec in es.enumerate_partitions(n, connected_only=True):
+            if len({size for size in spec.parts if size >= 2}) > 1:
+                continue
+            closed = es.multipartite_spectrum_closed(spec)
+            assert not any(isinstance(v, float) for v, _ in closed.entries), spec
+            assert closed.trace() == 0, spec
 
 
 @pytest.mark.parametrize("parts", [[3, 2, 1], [2, 2, 1, 1], [3, 2, 2, 1], [4, 3, 1, 1]])
@@ -94,7 +107,7 @@ def test_rejections_and_flags():
 def test_trace_vanishes_exactly():
     for parts in ([3, 1], [2, 2], [1, 1, 1, 1, 1], [4, 1, 1], [5, 3]):
         assert es.multipartite_spectrum_closed(parts).trace() == 0
-    # floats enter only through the multi-large-class quotient
+    # floats enter only through quotients over several distinct large sizes
     assert abs(es.multipartite_spectrum_closed([3, 2, 1]).trace()) < 1e-10
 
 
@@ -115,9 +128,9 @@ def test_star_roots_reduce_to_the_radius_formula(n):
 
 
 def test_energy_examples():
-    assert es.multipartite_energy_closed([2, 2, 2]) == pytest.approx(12)
-    assert es.multipartite_energy_closed([1] * 5) == pytest.approx(8)
-    assert es.multipartite_energy_closed([2, 1, 1]) == pytest.approx(3 + math.sqrt(17))
+    assert es.multipartite_spectrum_closed([2, 2, 2]).energy() == pytest.approx(12)
+    assert es.multipartite_spectrum_closed([1] * 5).energy() == pytest.approx(8)
+    assert es.multipartite_spectrum_closed([2, 1, 1]).energy() == pytest.approx(3 + math.sqrt(17))
 
 
 def test_energy_exact_values():
@@ -129,20 +142,21 @@ def test_energy_exact_values():
 def test_all_large_energy_is_four_times_order_minus_classes():
     for parts in ([2, 2], [3, 2], [4, 4, 2], [2, 2, 2, 2]):
         spec = es.as_spec(parts)
-        assert es.multipartite_energy_closed(spec) == pytest.approx(4 * (spec.n - spec.p))
+        assert es.multipartite_spectrum_closed(spec).energy() == pytest.approx(4 * (spec.n - spec.p))
 
 
 def test_star_energy_attains_the_upper_bound():
     for n in (4, 7, 12):
         _, upper = es.energy_bounds(n)
-        assert es.multipartite_energy_closed([n - 1, 1]) == pytest.approx(upper, abs=1e-12)
+        assert es.multipartite_spectrum_closed([n - 1, 1]).energy() == pytest.approx(upper, abs=1e-12)
 
 
 def test_root_sum_shortcut_agrees_when_constant_term_is_positive():
     # independent set of 5 joined to a clique of 5: both roots positive
-    b, c = es.split_quadratic_coefficients(5, 5)
-    assert c > 0
     closed = es.multipartite_spectrum_closed([5] + [1] * 5)
+    _, minus_b, c = closed.params["quotient_poly"]
+    b = -minus_b
+    assert c > 0
     hi, lo = closed.entries[0][0], closed.entries[1][0]
     assert abs(hi) + abs(lo) == b
 

@@ -103,3 +103,12 @@ def test_simplify_value():
     surd = Surd(1, 1, 5)
     assert simplify_value(surd) is surd
     assert simplify_value(2.5) == 2.5
+
+
+def test_str_reads_like_the_number():
+    assert str(Surd(2, -1, 7)) == "2 - sqrt(7)"
+    assert str(Surd(0, 1, 2)) == "sqrt(2)"
+    assert str(Surd(0, -3, 2)) == "-3*sqrt(2)"
+    assert str(Surd(6, 2, 5)) == "6 + 2*sqrt(5)"
+    assert str(Surd(Fraction(5, 2), Fraction(-1, 2), 57)) == "5/2 - 1/2*sqrt(57)"
+    assert str(Surd(-4)) == "-4"

@@ -8,6 +8,8 @@ from eccspec.errors import (
     DisconnectedGraphError,
     InvalidSpecError,
     PreconditionViolatedError,
+    SelfLoopError,
+    VertexOutOfRangeError,
 )
 from helpers import floyd_warshall_distances, random_adjacency, UNREACHABLE
 
@@ -266,3 +268,10 @@ def test_from_edges_validates():
         es.Graph.from_edges(3, [(1, 1)])
     g = es.Graph.from_edges(3, [(0, 1), (1, 0)])
     assert g.num_edges == 1
+
+
+def test_from_edges_raises_the_typed_edge_errors():
+    with pytest.raises(VertexOutOfRangeError):
+        es.Graph.from_edges(3, [(0, 1), (-1, 2)])
+    with pytest.raises(SelfLoopError):
+        es.Graph.from_edges(3, [(2, 2)])

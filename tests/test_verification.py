@@ -97,7 +97,7 @@ def test_equienergetic_report_smallest_case():
     # the lone pair at n=2: K_{2,2} (x) K_2 against K_{2,2,2,2}
     e_pair = es.energy(es.matrix_spectrum(
         es.eccentricity_matrix(es.strong_product(es.build_multipartite([2, 2]), es.complete(2))).matrix))
-    e_partner = es.multipartite_energy_closed([2, 2, 2, 2])
+    e_partner = es.multipartite_spectrum_closed([2, 2, 2, 2]).energy()
     assert e_pair == pytest.approx(16) and e_partner == pytest.approx(16)
 
 
@@ -105,10 +105,13 @@ def test_fault_injection_flips_the_report(monkeypatch):
     baseline = es.verify_closed_forms(5)
     assert baseline.passed
 
-    def perturbed(p1, p2):
-        return 2 * p1 + p2 - 3, p1 * p2 - 2 * p1 - 2 * p2 + 2 + 1
+    original = closed_form._arrow_char_poly
 
-    monkeypatch.setattr(closed_form, "split_quadratic_coefficients", perturbed)
+    def perturbed(distinct_sizes, singles):
+        poly = original(distinct_sizes, singles)
+        return poly[:-1] + [poly[-1] + 1]
+
+    monkeypatch.setattr(closed_form, "_arrow_char_poly", perturbed)
     report = es.verify_closed_forms(5)
     assert not report.passed
     assert report.violations
