@@ -58,11 +58,16 @@ def _add_graph_input(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_graph(args):
     if args.parts is not None:
-        return build_multipartite(args.parts), args.parts
+        return build_multipartite(args.parts)
     if args.edges is not None:
         with open(args.edges, "r", encoding="ascii") as handle:
-            return parse_edge_list(handle.read()), None
-    return parse_graph6(args.g6), None
+            return parse_edge_list(handle.read())
+    return parse_graph6(args.g6)
+
+
+def _header(args, **fields) -> dict:
+    # JSON header: the given fields, then the parts when the input named them
+    return fields if args.parts is None else {**fields, "parts": list(args.parts.parts)}
 
 
 def _emit_groups(groups, fmt: str, meta: dict) -> None:
@@ -70,9 +75,8 @@ def _emit_groups(groups, fmt: str, meta: dict) -> None:
         for value, mult in groups:
             print(f"{format_number(value)},{mult}")
     elif fmt == "json":
-        payload = dict(meta)
-        payload["groups"] = [[_round12(value), mult] for value, mult in groups]
-        print(json.dumps(payload, indent=2))
+        groups = [[_round12(value), mult] for value, mult in groups]
+        print(json.dumps({**meta, "groups": groups}, indent=2))
     else:
         for value, mult in groups:
             print(f"{format_number(value)} {mult}")
@@ -88,49 +92,39 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_eccmx(args) -> int:
-    g, _ = _resolve_graph(args)
-    matrix = eccentricity_matrix(g).matrix
+    matrix = eccentricity_matrix(_resolve_graph(args)).matrix
     for row in matrix:
         print(" ".join(str(int(x)) for x in row))
     return EXIT_OK
 
 
-def _spectrum_mode(args, spec) -> str:
+def _spectrum_route(args) -> tuple[int, str, tuple, float]:
+    """Order, source, (value, multiplicity) groups and energy of the input.
+
+    --parts takes the closed form, which needs no graph, unless --numeric is
+    given; only the eigensolver route reads or builds a graph."""
+    spec = args.parts
     if args.closed and spec is None:
         raise EccspecError("--closed needs --parts (closed forms cover multipartite specs)")
-    if args.numeric:
-        return "numeric"
-    if args.closed:
-        return "closed"
-    return "closed" if spec is not None else "numeric"
+    if spec is not None and not args.numeric:
+        closed = multipartite_spectrum_closed(spec)
+        return spec.n, "closed", closed.entries, closed.energy()
+    g = _resolve_graph(args)
+    # energy has no --tol: the grouping does not change the energy
+    numeric = matrix_spectrum(eccentricity_matrix(g).matrix, tol=getattr(args, "tol", None))
+    return g.n, "numeric", numeric.groups, spectrum_energy(numeric)
 
 
 def _cmd_spectrum(args) -> int:
-    g, spec = _resolve_graph(args)
-    mode = _spectrum_mode(args, spec)
-    if mode == "closed":
-        groups = multipartite_spectrum_closed(spec).entries
-    else:
-        groups = list(matrix_spectrum(eccentricity_matrix(g).matrix, tol=args.tol).groups)
-    meta = {"n": g.n, "source": mode}
-    if spec is not None:
-        meta["parts"] = list(spec.parts)
-    _emit_groups(groups, args.format, meta)
+    n, source, groups, _ = _spectrum_route(args)
+    _emit_groups(groups, args.format, _header(args, n=n, source=source))
     return EXIT_OK
 
 
 def _cmd_energy(args) -> int:
-    g, spec = _resolve_graph(args)
-    mode = _spectrum_mode(args, spec)
-    if mode == "closed":
-        value = multipartite_spectrum_closed(spec).energy()
-    else:
-        value = spectrum_energy(matrix_spectrum(eccentricity_matrix(g).matrix))
+    n, source, _, value = _spectrum_route(args)
     if args.format == "json":
-        meta = {"n": g.n, "source": mode, "energy": _round12(value)}
-        if spec is not None:
-            meta["parts"] = list(spec.parts)
-        print(json.dumps(meta, indent=2))
+        print(json.dumps(_header(args, n=n, source=source, energy=_round12(value)), indent=2))
     else:
         print(format_number(value))
     return EXIT_OK
@@ -156,18 +150,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n is None and args.nmax is None:
+        raise EccspecError("verify needs --n or --nmax")
     if args.theorem in {"5", "6"}:
-        n_max = args.nmax if args.nmax is not None else args.n
-        if n_max is None:
-            raise EccspecError("verify needs --n or --nmax")
-        reports = [verify_equienergetic(n_max)]
+        reports = [verify_equienergetic(args.nmax if args.nmax is not None else args.n)]
     else:
-        if args.nmax is not None:
-            ns = range(4, args.nmax + 1)
-        elif args.n is not None:
-            ns = [args.n]
-        else:
-            raise EccspecError("verify needs --n or --nmax")
+        ns = range(4, args.nmax + 1) if args.nmax is not None else [args.n]
         runner = {
             "1": verify_closed_forms,
             "2": verify_bounds_and_extremals,
@@ -181,11 +169,10 @@ def _cmd_verify(args) -> int:
                 f"theorem={report.theorem} n={report.n} cases={report.cases} "
                 f"max_dev={format_number(report.max_dev)} pass={str(report.passed).lower()}"
             )
+    elif len(reports) == 1:
+        print(reports[0].to_json())
     else:
-        if len(reports) == 1:
-            print(reports[0].to_json())
-        else:
-            print(json.dumps([r.as_dict() for r in reports], indent=2))
+        print(json.dumps([r.as_dict() for r in reports], indent=2))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 

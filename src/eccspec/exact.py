@@ -12,15 +12,21 @@ from fractions import Fraction
 
 
 def _split_square(r: int) -> tuple[int, int]:
-    # factor r = k*k * s with the largest square divisor pulled out
-    k = 1
-    d = 2
-    while d * d <= r:
+    # r = k*k * s, s squarefree: once every d with d**3 <= r is divided out,
+    # the cofactor has at most two prime factors, so isqrt settles it
+    k, s, d = 1, 1, 2
+    while d * d * d <= r:
         while r % (d * d) == 0:
             r //= d * d
             k *= d
+        if r % d == 0:
+            r //= d
+            s *= d
         d += 1
-    return k, r
+    root = math.isqrt(r)
+    if r > 1 and root * root == r:
+        return k * root, s
+    return k, s * r
 
 
 class Surd:

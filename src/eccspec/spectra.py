@@ -207,8 +207,10 @@ def quotient_matrix(matrix, partition) -> tuple[np.ndarray, bool]:
 
     Returns (Q, is_equitable) where Q[i][j] is the average row sum of block
     (i, j) and the flag records whether every block has constant row sums.
-    The constancy test uses exact equality, which is the right call for the
-    integer matrices this library feeds in.
+    With P the float64 class-indicator matrix, Q = P^T (M P) / class sizes,
+    and the partition is equitable iff each row of M P equals its class
+    head's.  Float64 accumulation makes bool input count rather than OR; the
+    exact equality test is right for the integer matrices fed in here.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -220,17 +222,15 @@ def quotient_matrix(matrix, partition) -> tuple[np.ndarray, bool]:
     flat = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
     if len(flat) != n or not np.array_equal(np.sort(flat), np.arange(n)):
         raise InvalidPartitionError("classes must cover all indices exactly once")
-    k = len(classes)
-    q = np.empty((k, k), dtype=np.float64)
-    equitable = True
-    for i, ci in enumerate(classes):
-        rows = m[ci]
-        for j, cj in enumerate(classes):
-            row_sums = rows[:, cj].sum(axis=1)
-            if not (row_sums == row_sums[0]).all():
-                equitable = False
-            q[i, j] = float(row_sums.sum()) / len(ci)
-    return q, equitable
+    sizes = np.array([len(cls) for cls in classes], dtype=np.intp)
+    class_of = np.empty(n, dtype=np.intp)
+    class_of[flat] = np.repeat(np.arange(len(classes)), sizes)
+    indicator = np.zeros((n, len(classes)))
+    indicator[np.arange(n), class_of] = 1.0
+    block_sums = m @ indicator
+    heads = np.array([cls[0] for cls in classes], dtype=np.intp)
+    equitable = bool(np.array_equal(block_sums, block_sums[heads[class_of]]))
+    return indicator.T @ block_sums / sizes[:, None], equitable
 
 
 def quotient_eigenvalues(q: np.ndarray, class_sizes) -> np.ndarray:

@@ -3,6 +3,8 @@
 Each verifier enumerates integer partitions, builds the actual graphs, runs
 the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
+Every numeric spectrum comes from one step, `_numeric_spectrum`, which also
+checks it against the trace (zero) and Frobenius (squared norm) identities.
 Findings land in a VerificationReport; a report passes exactly when its
 violations list is empty.
 """
@@ -134,22 +136,13 @@ def _oracle_check(report, spec, matrix, spectrum: Spectrum) -> None:
         _violation(report, spec, "oracle_frobenius", frob_sq, frob_sq + sq_dev)
 
 
-def _spec_classes(spec: MultipartiteSpec) -> list[list[int]]:
-    # vertex index ranges of build_multipartite's class-by-class layout
-    classes = []
-    start = 0
-    for size in spec.parts:
-        classes.append(list(range(start, start + size)))
-        start += size
-    return classes
-
-
-def _mixed_quotient_classes(spec: MultipartiteSpec) -> tuple[list[list[int]], list[int]]:
-    classes = _spec_classes(spec)
-    large = [cls for cls, size in zip(classes, spec.parts) if size >= 2]
-    singleton = [v for cls, size in zip(classes, spec.parts) if size == 1 for v in cls]
-    merged = large + [singleton]
-    return merged, [len(c) for c in merged]
+def _numeric_spectrum(report, label, g):
+    # the module's only call into the eigensolver, so no numeric spectrum
+    # escapes the oracle; returns the eccentricity matrix and its spectrum
+    matrix = eccentricity_matrix(g).matrix
+    spectrum = matrix_spectrum(matrix)
+    _oracle_check(report, label, matrix, spectrum)
+    return matrix, spectrum
 
 
 def _check_complement_identity(report, spec, g, matrix) -> None:
@@ -173,9 +166,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
     for spec in enumerate_partitions(n, connected_only=True):
         report.cases += 1
         g = build_multipartite(spec)
-        em = eccentricity_matrix(g)
-        numeric = matrix_spectrum(em.matrix)
-        _oracle_check(report, spec, em.matrix, numeric)
+        matrix, numeric = _numeric_spectrum(report, spec, g)
         closed = multipartite_spectrum_closed(spec)
 
         closed_eigs = closed.eigenvalues()
@@ -199,16 +190,17 @@ def verify_closed_forms(n: int) -> VerificationReport:
             )
 
         if all(size >= 2 for size in spec.parts):
-            _check_complement_identity(report, spec, g, em.matrix)
+            _check_complement_identity(report, spec, g, matrix)
         elif any(size >= 2 for size in spec.parts):
-            classes, sizes = _mixed_quotient_classes(spec)
-            q, equitable = quotient_matrix(em.matrix, classes)
+            # build_multipartite lays classes out largest first: each large
+            # class, then the singletons, merged into one clique class
+            large = [size for size in spec.parts if size >= 2]
+            classes = np.split(np.arange(spec.n), np.cumsum(large))
+            q, equitable = quotient_matrix(matrix, classes)
             if not equitable:
                 _violation(report, spec, "quotient_equitable", True, False)
-            q_eigs = quotient_eigenvalues(q, sizes)
-            worst = max(
-                float(np.min(np.abs(numeric_eigs - lam))) for lam in q_eigs
-            )
+            q_eigs = quotient_eigenvalues(q, [len(c) for c in classes])
+            worst = float(np.abs(numeric_eigs[:, None] - q_eigs).min(axis=0).max())
             _record(report, worst)
             if worst >= TOL_MATCH:
                 _violation(report, spec, "quotient_containment", "every quotient eigenvalue in spectrum", worst)
@@ -249,16 +241,13 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
     ub_radius = radius_upper_bound(n)
     lb_energy, ub_energy = energy_bounds(n)
     star = MultipartiteSpec((n - 1, 1))
-    kn = MultipartiteSpec(tuple([1] * n))
     cs2 = MultipartiteSpec(tuple([2] + [1] * (n - 2)))
 
     radii: list[tuple[float, MultipartiteSpec]] = []
     energies: list[tuple[float, MultipartiteSpec]] = []
     for spec in enumerate_partitions(n, connected_only=True):
         report.cases += 1
-        em = eccentricity_matrix(build_multipartite(spec))
-        spectrum = matrix_spectrum(em.matrix)
-        _oracle_check(report, spec, em.matrix, spectrum)
+        _, spectrum = _numeric_spectrum(report, spec, build_multipartite(spec))
         radius = spectral_radius(spectrum)
         e = energy(spectrum)
         radii.append((radius, spec))
@@ -327,9 +316,7 @@ def _check_product(report, n: int, product, predicted: int) -> tuple[float, int]
     # diameter 2 and against the predicted energy; returns the numeric energy
     # and zero multiplicity
     label = [n, n, "x", 2]
-    em = eccentricity_matrix(product)
-    spectrum = matrix_spectrum(em.matrix)
-    _oracle_check(report, label, em.matrix, spectrum)
+    _, spectrum = _numeric_spectrum(report, label, product)
     e_product = energy(spectrum)
     closed_eigs = antipodal_product_spectrum(2 * n, n, 2, 2).eigenvalues()
     numeric_eigs = np.array(spectrum.eigenvalues)
@@ -348,7 +335,7 @@ def _check_product(report, n: int, product, predicted: int) -> tuple[float, int]
 def _check_partner(report, spec, partner, e_product: float, predicted: int) -> float:
     # the partner must share the product's energy but not its zero eigenvalue
     report.cases += 1
-    spectrum = matrix_spectrum(eccentricity_matrix(partner).matrix)
+    _, spectrum = _numeric_spectrum(report, spec, partner)
     e_partner = energy(spectrum)
     dev = abs(e_product - e_partner)
     _record(report, dev)
@@ -417,8 +404,8 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
         for idx in picked:
             spec = specs[idx]
             report.cases += 1
-            em = eccentricity_matrix(build_multipartite(spec))
-            e = energy(matrix_spectrum(em.matrix))
+            _, spectrum = _numeric_spectrum(report, spec, build_multipartite(spec))
+            e = energy(spectrum)
             expected = float(4 * (order - spec.p))
             dev = abs(e - expected)
             _record(report, dev)

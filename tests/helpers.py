@@ -82,3 +82,37 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
                 a[p, q] = 0.0
                 a[q, p] = 0.0
     raise AssertionError("Jacobi oracle did not converge in 100 sweeps")
+
+
+def quotient_matrix_loop(matrix, partition) -> tuple[np.ndarray, bool]:
+    """Block-average quotient and equitability flag, one block at a time.
+
+    Q[i][j] is the mean row sum of block (i, j); the flag records whether
+    every block has constant row sums.  Sums stay in the input's integer
+    dtype (bool counts as 0/1), so the result is exact.
+    """
+    m = np.asarray(matrix)
+    classes = [np.asarray(sorted(int(i) for i in cls), dtype=np.intp) for cls in partition]
+    k = len(classes)
+    q = np.empty((k, k), dtype=np.float64)
+    equitable = True
+    for i, ci in enumerate(classes):
+        rows = m[ci]
+        for j, cj in enumerate(classes):
+            row_sums = rows[:, cj].sum(axis=1)
+            if not (row_sums == row_sums[0]).all():
+                equitable = False
+            q[i, j] = float(row_sums.sum()) / len(ci)
+    return q, equitable
+
+
+def split_square_by_trial_division(r: int) -> tuple[int, int]:
+    """(k, s) with r = k*k * s and s squarefree, by trial division up to sqrt(r)."""
+    k = 1
+    d = 2
+    while d * d <= r:
+        while r % (d * d) == 0:
+            r //= d * d
+            k *= d
+        d += 1
+    return k, r

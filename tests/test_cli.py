@@ -2,12 +2,16 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
 import eccspec as es
+import eccspec.cli as cli
 import eccspec.closed_form as closed_form
 from eccspec.cli import format_number, main
+
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 
 def run(capsys, *argv):
@@ -27,6 +31,22 @@ def test_spectrum_numeric_agrees_with_closed(capsys):
     code, numeric_out, _ = run(capsys, "spectrum", "--parts", "3,1", "--numeric")
     assert code == 0
     assert numeric_out == closed_out  # 12 significant digits hide solver noise
+
+
+def test_closed_route_builds_no_graph(capsys, monkeypatch):
+    golden = {tuple(case["argv"]): case for case in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+
+    def refuse(parts):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(cli, "build_multipartite", refuse)
+    for argv in (["spectrum", "--parts", "3,1"], ["energy", "--parts", "4,3,3,1,1", "--format", "json"]):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (golden[tuple(argv)]["code"], golden[tuple(argv)]["stdout"])
+    with pytest.raises(AssertionError, match="graph built"):
+        main(["spectrum", "--parts", "3,1", "--numeric"])
+    with pytest.raises(AssertionError, match="graph built"):
+        main(["energy", "--parts", "3,1", "--numeric"])
 
 
 def test_spectrum_json_payload(capsys):

@@ -253,3 +253,12 @@ def test_pair_energies_agree_numerically():
     e2 = es.energy(es.matrix_spectrum(es.eccentricity_matrix(partner).matrix))
     assert e1 == pytest.approx(predicted, abs=1e-9)
     assert e2 == pytest.approx(predicted, abs=1e-9)
+
+
+def test_star_with_a_million_leaves_is_exact():
+    # roots (m - 1) +- sqrt((m - 1)**2 + m) of the star's quotient; the
+    # radicand 999999000001 is squarefree, so it stays as it is
+    upper, lower, clique = es.multipartite_spectrum_closed([10**6, 1]).entries
+    assert (upper[0].a, upper[0].b, upper[0].r, upper[1]) == (999999, 1, 999999000001, 1)
+    assert (lower[0].a, lower[0].b, lower[0].r, lower[1]) == (999999, -1, 999999000001, 1)
+    assert clique == (-2, 999999) and type(clique[0]) is int

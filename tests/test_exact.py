@@ -5,13 +5,34 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eccspec.exact import Surd, quadratic_roots, simplify_value
+from eccspec.exact import Surd, _split_square, quadratic_roots, simplify_value
+from helpers import split_square_by_trial_division
 
 
 def test_normalisation_pulls_out_square_factors():
     assert Surd(0, 1, 8) == Surd(0, 2, 2)
     assert Surd(0, 1, 12) == Surd(0, 2, 3)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=10**10))
+def test_square_part_matches_trial_division(r):
+    assert _split_square(r) == split_square_by_trial_division(r)
+
+
+@given(st.integers(min_value=2, max_value=3000), st.integers(min_value=1, max_value=3000))
+def test_square_part_of_a_square_times_a_cofactor(a, b):
+    # a large square factor a*a is what the cube-root cut-off leaves to isqrt
+    assert _split_square(a * a * b) == split_square_by_trial_division(a * a * b)
+
+
+@pytest.mark.parametrize("p, q", [(999983, 2), (1000003, 6), (999979, 3 * 5 * 7)])
+def test_square_of_a_prime_near_a_million(p, q):
+    assert _split_square(p * p * q) == (p, q)
+    assert _split_square(q * p) == (1, q * p)
 
 
 def test_perfect_square_radicand_collapses_to_rational():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import eccspec as es
-from helpers import jacobi_eigenvalues
+from helpers import jacobi_eigenvalues, quotient_matrix_loop
 from eccspec.errors import (
     ConvergenceFailureError,
     EmptySpectrumError,
@@ -214,6 +216,35 @@ def test_split_graph_quotient_is_equitable():
     q, equitable = es.quotient_matrix(m, [[0, 1, 2], [3, 4]])
     assert equitable
     assert q.tolist() == [[4.0, 2.0], [3.0, 1.0]]
+
+
+def test_bool_adjacency_quotient_counts_neighbours():
+    # a bool-by-bool product would OR the block entries instead of counting
+    adjacency = es.build_multipartite([3, 2]).adjacency
+    assert adjacency.dtype == bool
+    q, equitable = es.quotient_matrix(adjacency, [[0, 1, 2], [3, 4]])
+    assert equitable
+    assert q.tolist() == [[0.0, 2.0], [3.0, 0.0]]
+
+
+@given(st.data())
+def test_quotient_matches_the_block_loop(data):
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    classes = data.draw(st.permutations(
+        [[v for v in range(n) if labels[v] == c] for c in sorted(set(labels))]))
+    if data.draw(st.booleans()):
+        m = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+        m = m.reshape(n, n)
+    else:
+        # constant on every block, hence equitable
+        block = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+        m = block.reshape(n, n)[np.ix_(labels, labels)]
+    m = m.astype(data.draw(st.sampled_from([np.int64, bool])))
+    q, equitable = es.quotient_matrix(m, classes)
+    q_loop, equitable_loop = quotient_matrix_loop(m, classes)
+    assert np.array_equal(q, q_loop)
+    assert equitable == equitable_loop
 
 
 def test_all_singletons_quotient_returns_the_matrix():

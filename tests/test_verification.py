@@ -8,6 +8,7 @@ import pytest
 
 import eccspec as es
 import eccspec.closed_form as closed_form
+import eccspec.verification as verification
 from eccspec.cli import main as cli_main
 from eccspec.errors import PreconditionViolatedError
 
@@ -115,6 +116,27 @@ def test_fault_injection_flips_the_report(monkeypatch):
     report = es.verify_closed_forms(5)
     assert not report.passed
     assert report.violations
+
+
+def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
+    # shifting every eigenvalue by +1 breaks the trace identity everywhere
+    original = verification.matrix_spectrum
+
+    def shifted(matrix, tol=None):
+        s = original(matrix, tol)
+        return es.Spectrum(
+            tuple(x + 1 for x in s.eigenvalues), tuple((v + 1, m) for v, m in s.groups), s.n
+        )
+
+    monkeypatch.setattr(verification, "matrix_spectrum", shifted)
+    report = es.verify_equienergetic(2)
+    flagged = [v["spec"] for v in report.violations if v["check"] == "oracle_trace"]
+    assert [2, 2, "x", 2] in flagged
+    # [2, 2, 2, 2] is both the partner and one of the order-8 sweep specs
+    assert flagged.count([2, 2, 2, 2]) == 2
+    sweep = [list(s.parts) for s in es.enumerate_partitions(8, connected_only=True) if min(s.parts) >= 2]
+    assert len(sweep) == 6
+    assert all(parts in flagged for parts in sweep)
 
 
 def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
