@@ -9,7 +9,6 @@ closed form and bound against the numeric route.
 
 from .closed_form import (
     CASE_ALL_PARTS_GE_2,
-    CASE_COMPLETE_GRAPH,
     CASE_PRODUCT_THM5,
     CASE_SPLIT_MIXED,
     ClosedFormSpectrum,
@@ -31,18 +30,15 @@ from .graphs import (
     build_multipartite,
     complement,
     complete,
-    complete_split,
     star,
     strong_product,
 )
 from .io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .spectra import (
     Spectrum,
-    default_grouping_tol,
     energy,
     group_spectrum,
     matrix_spectrum,
-    quotient_eigenvalues,
     quotient_matrix,
     spectral_radius,
     symmetric_eigenvalues,
@@ -61,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CASE_ALL_PARTS_GE_2",
-    "CASE_COMPLETE_GRAPH",
     "CASE_PRODUCT_THM5",
     "CASE_SPLIT_MIXED",
     "ClosedFormSpectrum",
@@ -79,8 +74,6 @@ __all__ = [
     "build_multipartite",
     "complement",
     "complete",
-    "complete_split",
-    "default_grouping_tol",
     "ecc_via_complement",
     "eccentricity_matrix",
     "emit_edge_list",
@@ -95,7 +88,6 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "quadratic_roots",
-    "quotient_eigenvalues",
     "quotient_matrix",
     "radius_upper_bound",
     "spectral_radius",

@@ -150,12 +150,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n is None and args.nmax is None:
-        raise EccspecError("verify needs --n or --nmax")
     if args.theorem in {"5", "6"}:
         reports = [verify_equienergetic(args.nmax if args.nmax is not None else args.n)]
     else:
-        ns = range(4, args.nmax + 1) if args.nmax is not None else [args.n]
+        # an --nmax below 4 sweeps nothing: run that one order, which the
+        # runner rejects like --n
+        ns = [args.n] if args.nmax is None else range(4, args.nmax + 1) or [args.nmax]
         runner = {
             "1": verify_closed_forms,
             "2": verify_bounds_and_extremals,
@@ -241,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--theorem", choices=["1", "2", "3", "5", "6", "lemma2"], required=True)
-    verify.add_argument("--n", type=int, default=None)
-    verify.add_argument("--nmax", type=int, default=None,
-                        help="sweep n=4..nmax (or n=2..nmax for 5/6)")
+    orders = verify.add_mutually_exclusive_group(required=True)
+    orders.add_argument("--n", type=int)
+    orders.add_argument("--nmax", type=int, help="sweep n=4..nmax (or n=2..nmax for 5/6)")
     verify.add_argument("--format", choices=["json", "text"], default="json")
     verify.set_defaults(func=_cmd_verify)
 

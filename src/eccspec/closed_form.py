@@ -31,8 +31,9 @@ from .errors import (
 from .exact import Surd, quadratic_roots, simplify_value
 from .graphs import Graph, as_spec, build_multipartite, complete, strong_product
 
+# case tags name the route: every spec with a singleton, the complete graph
+# included, takes the arrowhead quotient of SPLIT_MIXED
 CASE_ALL_PARTS_GE_2 = "ALL_PARTS_GE_2"
-CASE_COMPLETE_GRAPH = "COMPLETE_GRAPH"
 CASE_SPLIT_MIXED = "SPLIT_MIXED"
 CASE_PRODUCT_THM5 = "PRODUCT_THM5"
 
@@ -192,8 +193,7 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
     pairs = [(-2, sum(large) - len(large)), (-1, singles - 1)]
     pairs.extend((2 * (size - 1), count - 1) for size, count in counts)
     pairs.extend((root, 1) for root in _quotient_roots(poly))
-    case = CASE_SPLIT_MIXED if large else CASE_COMPLETE_GRAPH
-    return ClosedFormSpectrum(_sorted_entries(pairs), case, params)
+    return ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, params)
 
 
 def radius_upper_bound(n: int, allow_small: bool = False) -> float:

@@ -60,9 +60,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def degree(self, u: int) -> int:
-        return int(self.adjacency[u].sum())
-
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self.adjacency))
         return list(zip(us.tolist(), vs.tolist()))
@@ -132,11 +129,6 @@ def complete(n: int) -> Graph:
 def star(n: int) -> Graph:
     """Star on n vertices: n-1 leaves joined to one centre."""
     return build_multipartite([n - 1, 1])
-
-
-def complete_split(p1: int, p2: int) -> Graph:
-    """Independent set of size p1 fully joined to a clique of size p2."""
-    return build_multipartite([p1] + [1] * p2)
 
 
 def complement(g: Graph) -> Graph:

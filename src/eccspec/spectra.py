@@ -17,6 +17,7 @@ from .errors import (
     EmptySpectrumError,
     InvalidPartitionError,
     NonSymmetricInputError,
+    PreconditionViolatedError,
 )
 
 QL_ITERATION_CAP = 100
@@ -159,8 +160,11 @@ def group_spectrum(eigenvalues, tol: float) -> Spectrum:
     """Cluster eigenvalues whose adjacent gaps stay within tol.
 
     Each group reports the arithmetic mean of its members, which cancels the
-    symmetric part of the solver noise.
+    symmetric part of the solver noise.  tol must be finite and >= 0: a NaN
+    gap test never splits, so NaN would merge everything into one group.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise PreconditionViolatedError(f"grouping tolerance must be finite and >= 0, got {tol}")
     eigs = sorted((float(x) for x in eigenvalues), reverse=True)
     groups: list[tuple[float, int]] = []
     block: list[float] = []
@@ -174,14 +178,11 @@ def group_spectrum(eigenvalues, tol: float) -> Spectrum:
     return Spectrum(tuple(eigs), tuple(groups), len(eigs))
 
 
-def default_grouping_tol(matrix) -> float:
-    return GROUPING_TOL_SCALE * max(1.0, float(np.linalg.norm(np.asarray(matrix, dtype=np.float64))))
-
-
 def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:
     """Eigenvalues of a symmetric matrix grouped at tol (default 1e-8*max(1, norm))."""
     if tol is None:
-        tol = default_grouping_tol(matrix)
+        norm = float(np.linalg.norm(np.asarray(matrix, dtype=np.float64)))
+        tol = GROUPING_TOL_SCALE * max(1.0, norm)
     return group_spectrum(symmetric_eigenvalues(matrix), tol)
 
 
@@ -231,18 +232,4 @@ def quotient_matrix(matrix, partition) -> tuple[np.ndarray, bool]:
     heads = np.array([cls[0] for cls in classes], dtype=np.intp)
     equitable = bool(np.array_equal(block_sums, block_sums[heads[class_of]]))
     return indicator.T @ block_sums / sizes[:, None], equitable
-
-
-def quotient_eigenvalues(q: np.ndarray, class_sizes) -> np.ndarray:
-    """Eigenvalues of a quotient matrix of a symmetric matrix.
-
-    Such a quotient is diagonally similar to a symmetric matrix via the
-    square roots of the class sizes, so the symmetric solver applies after
-    rescaling (and re-symmetrising away float dust).
-    """
-    sizes = np.asarray(list(class_sizes), dtype=np.float64)
-    scale = np.sqrt(sizes)
-    sym = q * (scale[:, None] / scale[None, :])
-    sym = (sym + sym.T) / 2.0
-    return symmetric_eigenvalues(sym)
 

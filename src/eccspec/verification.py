@@ -5,6 +5,9 @@ the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
 Every numeric spectrum comes from one step, `_numeric_spectrum`, which also
 checks it against the trace (zero) and Frobenius (squared norm) identities.
+The equitable quotient of a mixed spec is checked exactly: its integer
+characteristic polynomial must equal the closed form's quotient polynomial
+times the deflated factors.
 Findings land in a VerificationReport; a report passes exactly when its
 violations list is empty.
 """
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import (
+    _poly_mul,
     antipodal_product_spectrum,
     energy_bounds,
     equienergetic_pair,
@@ -35,7 +39,6 @@ from .spectra import (
     Spectrum,
     energy,
     matrix_spectrum,
-    quotient_eigenvalues,
     quotient_matrix,
     spectral_radius,
 )
@@ -145,6 +148,20 @@ def _numeric_spectrum(report, label, g):
     return matrix, spectrum
 
 
+def _char_poly(a) -> list[int]:
+    # det(xI - a) of an integer matrix, leading coefficient first, by
+    # Faddeev-LeVerrier over Python ints: M_i = a M_{i-1} + c_{i-1} I and
+    # c_i = -tr(a M_i) / i, where the division is exact
+    a = np.asarray(a).astype(object)
+    identity = np.eye(len(a), dtype=object)
+    coeffs = [1]
+    m = np.zeros_like(identity)
+    for i in range(1, len(a) + 1):
+        m = a @ m + coeffs[-1] * identity
+        coeffs.append(-(np.trace(a @ m) // i))
+    return coeffs
+
+
 def _check_complement_identity(report, spec, g, matrix) -> None:
     # Lemma 2: on diameter-2 specs the eccentricity matrix is 2*A(complement)
     dev = float(np.max(np.abs(ecc_via_complement(g).matrix - matrix)))
@@ -158,7 +175,10 @@ def verify_closed_forms(n: int) -> VerificationReport:
     partition of n with at least two classes.
 
     Also checks the doubled-complement identity on specs whose classes all
-    have size >= 2, and quotient-spectrum containment on mixed specs.
+    have size >= 2.  On mixed specs the quotient over the large classes and
+    the clique must be equitable, and its characteristic polynomial must
+    equal params["quotient_poly"] times (x - 2(m - 1)) for each large class
+    that repeats an earlier size m: an integer identity, with no tolerance.
     """
     if n < 4:
         raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
@@ -199,11 +219,14 @@ def verify_closed_forms(n: int) -> VerificationReport:
             q, equitable = quotient_matrix(matrix, classes)
             if not equitable:
                 _violation(report, spec, "quotient_equitable", True, False)
-            q_eigs = quotient_eigenvalues(q, [len(c) for c in classes])
-            worst = float(np.abs(numeric_eigs[:, None] - q_eigs).min(axis=0).max())
-            _record(report, worst)
-            if worst >= TOL_MATCH:
-                _violation(report, spec, "quotient_containment", "every quotient eigenvalue in spectrum", worst)
+                continue
+            expected = list(closed.params["quotient_poly"])
+            for prev, size in zip(large, large[1:]):
+                if size == prev:
+                    expected = _poly_mul(expected, [1, -2 * (size - 1)])
+            actual = _char_poly(q.astype(np.int64))
+            if actual != expected:
+                _violation(report, spec, "quotient_char_poly", expected, actual)
     report.witnesses["partitions_checked"] = report.cases
     return report
 

@@ -1,6 +1,7 @@
 """Independent oracles for the tests: slow but obviously-correct routines
 that never touch the library's own code paths."""
 
+import itertools
 import math
 
 import numpy as np
@@ -116,3 +117,24 @@ def split_square_by_trial_division(r: int) -> tuple[int, int]:
             k *= d
         d += 1
     return k, r
+
+
+def char_poly_by_leibniz(matrix) -> list[int]:
+    """det(xI - A) of an integer matrix, leading coefficient first, as the
+    Leibniz sum over permutations of sign * prod_i (x[i == s(i)] - A[i, s(i)])."""
+    a = [[int(x) for x in row] for row in np.asarray(matrix)]
+    k = len(a)
+    total = [0] * (k + 1)  # lowest power first
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = [-1 if inversions % 2 else 1]
+        for i, j in enumerate(perm):
+            factor = [-a[i][j], 1] if i == j else [-a[i][j]]
+            product = [0] * (len(term) + len(factor) - 1)
+            for u, tu in enumerate(term):
+                for v, fv in enumerate(factor):
+                    product[u + v] += tu * fv
+            term = product
+        for power, coeff in enumerate(term):
+            total[power] += coeff
+    return total[::-1]

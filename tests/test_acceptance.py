@@ -80,7 +80,7 @@ def test_criterion_3_quotient_spectra_are_contained():
             q, equitable = es.quotient_matrix(em.matrix, classes)
             assert equitable, spec
             full = es.symmetric_eigenvalues(em.matrix)
-            for lam in es.quotient_eigenvalues(q, [len(c) for c in classes]):
+            for lam in np.linalg.eigvals(q).real:
                 gap = float(np.min(np.abs(full - lam)))
                 worst = max(worst, gap)
                 assert gap < 1e-8, spec

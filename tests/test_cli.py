@@ -145,6 +145,23 @@ def test_verify_sweep_emits_an_array(capsys):
     assert all(entry["pass"] for entry in payload)
 
 
+@pytest.mark.parametrize("theorem", ["1", "2", "3", "lemma2"])
+@pytest.mark.parametrize("nmax", ["3", "0"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_sweep_below_four_is_an_input_error(capsys, theorem, nmax, fmt):
+    # an empty sweep used to print "[]" (or nothing) and pass
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--nmax", nmax, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"error: verification sweep is defined for n >= 4, got {nmax}\n"
+    assert run(capsys, "verify", "--theorem", theorem, "--n", nmax)[2] == err
+
+
+def test_spectrum_zero_tolerance_is_accepted(capsys):
+    code, out, _ = run(capsys, "spectrum", "--g6", "D?{", "--tol", "0", "--format", "csv")
+    assert code == 0
+    assert sum(int(line.split(",")[1]) for line in out.splitlines()) == 5
+
+
 def test_verify_equienergetic_suite(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "6", "--n", "3")
     assert code == 0
@@ -195,6 +212,10 @@ def test_identical_invocations_are_byte_identical(capsys):
         ["verify", "--theorem", "9", "--n", "5"],
         ["verify", "--theorem", "1"],
         ["equienergetic", "--n", "4", "--i", "3"],
+        ["verify", "--theorem", "1", "--n", "5", "--nmax", "6"],
+        ["spectrum", "--g6", "D?{", "--tol", "nan"],
+        ["spectrum", "--g6", "D?{", "--tol", "inf"],
+        ["spectrum", "--g6", "D?{", "--tol", "-1"],
     ],
 )
 def test_input_errors_exit_with_code_two(capsys, argv):

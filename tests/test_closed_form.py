@@ -26,7 +26,7 @@ def numeric_spectrum(parts):
 
 def test_complete_graph_case():
     closed = es.multipartite_spectrum_closed([1, 1, 1, 1])
-    assert closed.case_tag == es.CASE_COMPLETE_GRAPH
+    assert closed.case_tag == es.CASE_SPLIT_MIXED
     assert closed.entries == ((3, 1), (-1, 3))
     assert closed.params["quotient_poly"] == (1, -3)
 

@@ -14,6 +14,7 @@ from eccspec.errors import (
     EmptySpectrumError,
     InvalidPartitionError,
     NonSymmetricInputError,
+    PreconditionViolatedError,
 )
 
 
@@ -155,6 +156,19 @@ def test_group_spectrum_merges_adjacent_values():
     assert s.n == 3
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_group_spectrum_rejects_a_bad_tolerance(tol):
+    with pytest.raises(PreconditionViolatedError):
+        es.group_spectrum([1.0, 1.0, -2.0], tol=tol)
+    with pytest.raises(PreconditionViolatedError):
+        es.matrix_spectrum(ecc([2, 2]), tol=tol)
+
+
+def test_group_spectrum_zero_tolerance_groups_only_equal_values():
+    s = es.group_spectrum([2.0, 2.0, 1.0, -3.0], tol=0)
+    assert s.groups == ((2.0, 2), (1.0, 1), (-3.0, 1))
+
+
 def test_group_spectrum_empty():
     s = es.group_spectrum([], tol=1e-8)
     assert s.groups == () and s.n == 0
@@ -283,6 +297,6 @@ def test_equitable_quotient_spectrum_sits_inside_full_spectrum():
         q, equitable = es.quotient_matrix(m, classes)
         assert equitable
         full = es.symmetric_eigenvalues(m)
-        for lam in es.quotient_eigenvalues(q, [len(c) for c in classes]):
+        for lam in np.linalg.eigvals(q).real:
             assert np.min(np.abs(full - lam)) < 1e-8
 

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import eccspec as es
 import eccspec.closed_form as closed_form
 import eccspec.verification as verification
 from eccspec.cli import main as cli_main
 from eccspec.errors import PreconditionViolatedError
+from helpers import char_poly_by_leibniz
 
 # standard partition counts p(1)..p(14)
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -116,6 +119,62 @@ def test_fault_injection_flips_the_report(monkeypatch):
     report = es.verify_closed_forms(5)
     assert not report.passed
     assert report.violations
+
+
+def square_int_matrices(max_order=5, bound=20):
+    return st.integers(1, max_order).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
+
+
+@given(square_int_matrices())
+def test_char_poly_matches_the_leibniz_oracle(rows):
+    assert verification._char_poly(np.array(rows)) == char_poly_by_leibniz(rows)
+
+
+@given(square_int_matrices(), st.booleans())
+def test_char_poly_of_a_nilpotent_matrix_is_a_power_of_x(rows, lower):
+    # strictly triangular parts, and one conjugated by a unimodular matrix
+    k = len(rows)
+    n = np.tril(rows, -1) if lower else np.triu(rows, 1)
+    u = np.eye(k, dtype=np.int64) + np.triu(np.ones((k, k), dtype=np.int64), 1)
+    u_inv = np.round(np.linalg.inv(u)).astype(np.int64)
+    assert np.array_equal(u @ u_inv, np.eye(k, dtype=np.int64))
+    for m in (n, u @ n @ u_inv):
+        assert verification._char_poly(m) == char_poly_by_leibniz(m) == [1] + [0] * k
+
+
+def test_char_poly_of_zero_and_small_matrices():
+    assert verification._char_poly(np.zeros((4, 4), dtype=int)) == [1, 0, 0, 0, 0]
+    assert verification._char_poly(np.array([[2, -4], [1, -2]])) == [1, 0, 0]
+    assert verification._char_poly(np.array([[7]])) == [1, -7]
+
+
+def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
+    # entries stay intact, so only the exact quotient identity can notice
+    original = verification.multipartite_spectrum_closed
+
+    def tampered(spec):
+        closed = original(spec)
+        if "quotient_poly" in closed.params:
+            *head, last = closed.params["quotient_poly"]
+            closed.params["quotient_poly"] = (*head, last + 1)
+        return closed
+
+    monkeypatch.setattr(verification, "multipartite_spectrum_closed", tampered)
+    report = es.verify_closed_forms(6)
+    checks = {v["check"] for v in report.violations}
+    assert checks == {"quotient_char_poly"}
+    flagged = [v["spec"] for v in report.violations]
+    mixed = [list(s.parts) for s in es.enumerate_partitions(6, connected_only=True)
+             if min(s.parts) == 1 and max(s.parts) >= 2]
+    assert flagged == mixed
+    first = report.violations[0]
+    assert isinstance(first["expected"], list) and isinstance(first["actual"], list)
+    assert first["expected"][:-1] == first["actual"][:-1]
+    assert first["expected"][-1] == first["actual"][-1] + 1
 
 
 def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
