@@ -151,7 +151,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.theorem in {"5", "6"}:
-        reports = [verify_equienergetic(args.nmax if args.nmax is not None else args.n)]
+        if args.nmax is None:
+            raise EccspecError(
+                f"theorem {args.theorem} sweeps the pair orders 2..N: use --nmax N, not --n"
+            )
+        reports = [verify_equienergetic(args.nmax)]
     else:
         # an --nmax below 4 sweeps nothing: run that one order, which the
         # runner rejects like --n
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--theorem", choices=["1", "2", "3", "5", "6", "lemma2"], required=True)
     orders = verify.add_mutually_exclusive_group(required=True)
-    orders.add_argument("--n", type=int)
+    orders.add_argument("--n", type=int, help="one order n (not for 5/6)")
     orders.add_argument("--nmax", type=int, help="sweep n=4..nmax (or n=2..nmax for 5/6)")
     verify.add_argument("--format", choices=["json", "text"], default="json")
     verify.set_defaults(func=_cmd_verify)

@@ -4,7 +4,9 @@ The solver here is the numeric authority everything else in the library is
 checked against.  It is self-contained (no LAPACK): Householder reduction to
 tridiagonal form, then implicit QL with Wilkinson shifts (Golub & Van Loan
 Sec. 8.3), with a hard per-eigenvalue iteration cap that turns
-non-convergence into a loud error.
+non-convergence into a loud error.  It takes one matrix or a stack of
+equal-order matrices; the Householder steps run on the whole stack at once,
+which is what makes the verification sweeps' many small solves cheap.
 """
 
 import math
@@ -26,43 +28,54 @@ _EPS = math.ulp(1.0)  # float64 machine epsilon
 _NEGLIGIBLE_SQ = _EPS * _EPS
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[list[float], list[float]]:
-    """Householder-reduce a in place; return its diagonal and subdiagonal.
+def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder-reduce a stack a in place; return its diagonals and
+    off-diagonals, shapes (k, n) and (k, n - 1).
 
-    a is symmetric with its largest entry in [0.5, 1).  Step k reflects
-    column k below the subdiagonal onto its first entry with H = I - vv^T,
-    |v|^2 = 2, and applies H A H to the trailing block as the rank-2 update
-    A - vw^T - wv^T with p = Av and w = p - (v.p / 2)v.  A column whose part
-    below the subdiagonal has norm at most eps is left as it is: dropping it
-    moves no eigenvalue by more than 2*eps*max|a|, which is within the
-    rounding error of a reflection.
+    Every matrix is symmetric with its largest entry in [0.5, 1).  Step k
+    reflects column k below the subdiagonal onto its first entry with
+    H = I - vv^T, |v|^2 = 2, and applies H A H to the trailing block as the
+    rank-2 update A - vw^T - wv^T with p = Av and w = p - (v.p / 2)v.  A
+    matrix whose column has norm at most eps below the subdiagonal is left
+    out of that step: dropping the column moves no eigenvalue by more than
+    2*eps*max|a|, which is within the rounding error of a reflection.  The
+    stacked products are numpy's per-matrix BLAS calls (dot and gemv), so
+    each matrix gets the same bits as it would alone.
     """
-    n = a.shape[0]
-    sub: list[float] = []
+    count, n, _ = a.shape
     for k in range(n - 2):
-        # column k below the diagonal, read as the (contiguous) row: every
-        # update is symmetric, so the two stay equal
-        x = a[k, k + 1:]
-        x0 = float(x[0])
-        tail = x[1:]
-        tail_sq = float(tail @ tail)
-        if tail_sq <= _NEGLIGIBLE_SQ:
-            sub.append(x0)
+        # row k past the diagonal, shape (count, 1, n - k - 1), stands for
+        # column k below it: every update is symmetric, so the two stay equal
+        x = a[:, k, None, k + 1:]
+        tail = x[..., 1:]
+        tail_sq = tail @ tail.swapaxes(1, 2)
+        active = tail_sq[:, 0, 0] > _NEGLIGIBLE_SQ
+        reflected = np.count_nonzero(active)
+        if reflected == count:
+            rows = slice(None)
+        elif reflected:
+            rows = np.flatnonzero(active)
+            x, tail_sq = x[rows], tail_sq[rows]
+        else:
             continue
-        norm = math.sqrt(x0 * x0 + tail_sq)
-        alpha = -math.copysign(norm, x0)
+        x0 = x[..., :1]
+        norm = np.sqrt(x0 * x0 + tail_sq)
+        alpha = np.copysign(norm, -x0)
         # |x - alpha*e1|^2 = 2*norm*(norm + |x0|), with no cancellation
-        length = math.sqrt(norm * (norm + abs(x0)))
+        length = np.sqrt(norm * (norm + np.abs(x0)))
         v = x / length
-        v[0] = (x0 - alpha) / length
-        trailing = a[k + 1:, k + 1:]
-        p = trailing @ v
-        w = p - (0.5 * float(v @ p)) * v
-        trailing -= v[:, None] * w + w[:, None] * v
-        sub.append(alpha)
-    if n > 1:
-        sub.append(float(a[n - 1, n - 2]))
-    return a.diagonal().tolist(), sub
+        v[..., :1] = (x0 - alpha) / length
+        column = v.swapaxes(1, 2)
+        trailing = a[rows, k + 1:, k + 1:]
+        p = trailing @ column
+        w = p - (0.5 * (v @ p)) * column
+        trailing -= column * w.swapaxes(1, 2) + w * v
+        if reflected < count:
+            a[rows, k + 1:, k + 1:] = trailing  # fancy indexing made a copy
+        # row k is finished: its first entry past the diagonal becomes the
+        # off-diagonal entry, and the rest is never read again
+        a[rows, k, k + 1] = alpha[:, 0, 0]
+    return np.diagonal(a, axis1=1, axis2=2), np.diagonal(a, 1, axis1=1, axis2=2)
 
 
 def _tridiagonal_ql(d: list[float], e: list[float], cap: int) -> list[float]:
@@ -119,32 +132,39 @@ def _tridiagonal_ql(d: list[float], e: list[float], cap: int) -> list[float]:
 
 
 def symmetric_eigenvalues(matrix, sweep_cap: int = QL_ITERATION_CAP) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted descending.
+    """All eigenvalues of a symmetric matrix, or of each matrix in a stack,
+    sorted descending.
 
-    Householder tridiagonalisation followed by implicit QL; sweep_cap bounds
-    the QL iterations spent on any one eigenvalue.  The working copy is
-    scaled by an exact power of two so its largest entry lies in [0.5, 1):
-    no intermediate overflows, no entry that matters underflows, and on
-    integer input the result is bit-identical to the unscaled computation.
-    The input must be exactly symmetric (inputs here are integer matrices,
-    so no tolerance is warranted).
+    matrix is one (n, n) matrix or a stack (k, n, n); the result has shape
+    (n,) or (k, n), as for numpy.linalg.eigvalsh.  Householder
+    tridiagonalisation runs once per column for the whole stack, then
+    implicit QL runs on each tridiagonal; sweep_cap bounds the QL iterations
+    spent on any one eigenvalue.  A single matrix is solved as a stack of
+    one, and each matrix of a stack gets the same bits as it would alone.
+    Each working copy is scaled by an exact power of two so its largest
+    entry lies in [0.5, 1): no intermediate overflows, no entry that matters
+    underflows, and on integer input the result is bit-identical to the
+    unscaled computation.  A zero matrix is left out of every Householder
+    step and gives zeros.  The input must be exactly symmetric (inputs here
+    are integer matrices, so no tolerance is warranted).
     """
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSymmetricInputError("expected a square matrix")
-    if m.size and not np.array_equal(m, m.T):
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise NonSymmetricInputError("expected a square matrix or a stack of square matrices")
+    if m.size and not np.array_equal(m, m.swapaxes(-1, -2)):
         raise NonSymmetricInputError("matrix is not symmetric")
-    n = m.shape[0]
-    if n == 0:
-        return np.empty(0)
-    work = m.astype(np.float64)
-    if not work.any():
-        return np.zeros(n)
-    exponent = math.frexp(float(np.abs(work).max()))[1]
-    work = np.ldexp(work, -exponent)
-    diagonal, subdiagonal = _tridiagonalize(work)
-    eigs = sorted(_tridiagonal_ql(diagonal, subdiagonal, sweep_cap), reverse=True)
-    return np.ldexp(np.array(eigs), exponent)
+    stack = m if m.ndim == 3 else m[None]
+    if not stack.size:
+        return np.empty(m.shape[:-1])
+    work = stack.astype(np.float64)
+    exponents = np.frexp(np.abs(work).max(axis=(1, 2)))[1]
+    work = np.ldexp(work, -exponents[:, None, None])
+    diagonals, subdiagonals = _tridiagonalize(work)
+    eigs = [
+        sorted(_tridiagonal_ql(d, e, sweep_cap), reverse=True)
+        for d, e in zip(diagonals.tolist(), subdiagonals.tolist())
+    ]
+    return np.ldexp(np.array(eigs), exponents[:, None]).reshape(m.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -178,11 +198,16 @@ def group_spectrum(eigenvalues, tol: float) -> Spectrum:
     return Spectrum(tuple(eigs), tuple(groups), len(eigs))
 
 
+def _grouping_tol(frobenius_sq: float) -> float:
+    # the default grouping tolerance 1e-8*max(1, ||M||_F), from ||M||_F^2
+    return GROUPING_TOL_SCALE * max(1.0, math.sqrt(frobenius_sq))
+
+
 def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:
     """Eigenvalues of a symmetric matrix grouped at tol (default 1e-8*max(1, norm))."""
     if tol is None:
-        norm = float(np.linalg.norm(np.asarray(matrix, dtype=np.float64)))
-        tol = GROUPING_TOL_SCALE * max(1.0, norm)
+        flat = np.asarray(matrix, dtype=np.float64).ravel(order="K")
+        tol = _grouping_tol(float(flat @ flat))
     return group_spectrum(symmetric_eigenvalues(matrix), tol)
 
 

@@ -3,8 +3,10 @@
 Each verifier enumerates integer partitions, builds the actual graphs, runs
 the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
-Every numeric spectrum comes from one step, `_numeric_spectrum`, which also
-checks it against the trace (zero) and Frobenius (squared norm) identities.
+Every numeric spectrum comes from one step, `_numeric_spectra`, which solves
+the equal-order matrices of a sweep in stacks of at most `_CHUNK` and checks
+each spectrum against the trace (zero) and Frobenius (squared norm)
+identities before handing it on, so findings keep the enumeration order.
 The equitable quotient of a mixed spec is checked exactly: its integer
 characteristic polynomial must equal the closed form's quotient polynomial
 times the deflated factors.
@@ -12,6 +14,7 @@ Findings land in a VerificationReport; a report passes exactly when its
 violations list is empty.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -36,11 +39,12 @@ from .graphs import (
     strong_product,
 )
 from .spectra import (
-    Spectrum,
+    _grouping_tol,
     energy,
-    matrix_spectrum,
+    group_spectrum,
     quotient_matrix,
     spectral_radius,
+    symmetric_eigenvalues,
 )
 
 TOL_MATCH = 1e-8          # closed vs numeric eigenvalue agreement
@@ -54,6 +58,9 @@ GROUP_CHECK_CAP = 400     # numeric energy checks per graph order in the
                           # equal-order equienergeticity sweep; exhaustive for
                           # orders up to 24, sampled beyond to keep big CLI
                           # sweeps responsive
+_CHUNK = 16               # matrices per stacked eigensolve: larger stacks
+                          # save little more call overhead and raise peak
+                          # memory
 
 
 @dataclass
@@ -94,20 +101,30 @@ def enumerate_partitions(n: int, connected_only: bool = False) -> list[Multipart
     """
     if n < 1:
         raise ValueError(f"partitions need n >= 1, got {n}")
+    specs = list(_connected_partitions(n))
+    return specs if connected_only else [MultipartiteSpec((n,)), *specs]
 
+
+def _connected_partitions(n: int, smallest: int = 1):
+    # partitions of n into at least two parts, each >= smallest, in the
+    # order of enumerate_partitions; a part that would leave a remainder
+    # below smallest is never tried
     def rec(remaining: int, cap: int, prefix: list[int]):
         if remaining == 0:
-            yield list(prefix)
+            yield MultipartiteSpec(tuple(prefix))
             return
-        for k in range(min(remaining, cap), 0, -1):
+        for k in range(min(remaining, cap), smallest - 1, -1):
+            if 0 < remaining - k < smallest:
+                continue
             prefix.append(k)
             yield from rec(remaining - k, k, prefix)
             prefix.pop()
 
-    specs = [MultipartiteSpec(tuple(parts)) for parts in rec(n, n, [])]
-    if connected_only:
-        specs = [s for s in specs if s.p >= 2]
-    return specs
+    return rec(n, n - 1, [])
+
+
+def _multipartite(specs):
+    return ((spec, build_multipartite(spec)) for spec in specs)
 
 
 def _record(report: VerificationReport, dev: float) -> None:
@@ -126,26 +143,33 @@ def _violation(report, spec, check, expected, actual) -> None:
     )
 
 
-def _oracle_check(report, spec, matrix, spectrum: Spectrum) -> None:
-    # trace and Frobenius identities every processed spectrum must satisfy
-    eigs = np.array(spectrum.eigenvalues)
-    n = len(eigs)
-    trace_dev = abs(float(eigs.sum()))
-    if trace_dev >= TOL_TRACE * n:
-        _violation(report, spec, "oracle_trace", 0.0, trace_dev)
-    frob_sq = float(np.sum(np.asarray(matrix, dtype=np.float64) ** 2))
-    sq_dev = abs(float(np.sum(eigs**2)) - frob_sq)
-    if sq_dev >= TOL_FROBENIUS * max(frob_sq, 1.0):
-        _violation(report, spec, "oracle_frobenius", frob_sq, frob_sq + sq_dev)
+def _numeric_spectra(report, labelled_graphs):
+    """Yield (label, graph, eccentricity matrix, spectrum) for each
+    (label, graph) pair, in order; the graphs share one order.
 
-
-def _numeric_spectrum(report, label, g):
-    # the module's only call into the eigensolver, so no numeric spectrum
-    # escapes the oracle; returns the eccentricity matrix and its spectrum
-    matrix = eccentricity_matrix(g).matrix
-    spectrum = matrix_spectrum(matrix)
-    _oracle_check(report, label, matrix, spectrum)
-    return matrix, spectrum
+    The module's only call into the eigensolver, so no numeric spectrum
+    escapes the oracle.  The matrices are built and solved in stacks of at
+    most _CHUNK, and the trace and Frobenius sums of a stack are reduced at
+    once; a pair's oracle findings are recorded just before it is yielded.
+    Each spectrum is grouped at matrix_spectrum's default tolerance.  The
+    matrices are integer, so their squared norms are exact.
+    """
+    pairs = iter(labelled_graphs)
+    while chunk := list(itertools.islice(pairs, _CHUNK)):
+        matrices = np.stack([eccentricity_matrix(g).matrix for _, g in chunk])
+        eigs = symmetric_eigenvalues(matrices)
+        trace_dev = np.abs(eigs.sum(axis=1))
+        frob_sq = np.sum(matrices.astype(np.float64) ** 2, axis=(1, 2))
+        sq_dev = np.abs(np.sum(eigs**2, axis=1) - frob_sq)
+        order = eigs.shape[1]
+        for i, (label, g) in enumerate(chunk):
+            if trace_dev[i] >= TOL_TRACE * order:
+                _violation(report, label, "oracle_trace", 0.0, float(trace_dev[i]))
+            if sq_dev[i] >= TOL_FROBENIUS * max(frob_sq[i], 1.0):
+                _violation(report, label, "oracle_frobenius",
+                           float(frob_sq[i]), float(frob_sq[i] + sq_dev[i]))
+            spectrum = group_spectrum(eigs[i].tolist(), _grouping_tol(frob_sq[i]))
+            yield label, g, matrices[i], spectrum
 
 
 def _char_poly(a) -> list[int]:
@@ -183,10 +207,9 @@ def verify_closed_forms(n: int) -> VerificationReport:
     if n < 4:
         raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
     report = VerificationReport("multipartite_closed_spectra", n)
-    for spec in enumerate_partitions(n, connected_only=True):
+    specs = enumerate_partitions(n, connected_only=True)
+    for spec, g, matrix, numeric in _numeric_spectra(report, _multipartite(specs)):
         report.cases += 1
-        g = build_multipartite(spec)
-        matrix, numeric = _numeric_spectrum(report, spec, g)
         closed = multipartite_spectrum_closed(spec)
 
         closed_eigs = closed.eigenvalues()
@@ -237,9 +260,7 @@ def verify_lemma2(n: int) -> VerificationReport:
     if n < 4:
         raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
     report = VerificationReport("complement_identity", n)
-    for spec in enumerate_partitions(n, connected_only=True):
-        if any(size < 2 for size in spec.parts):
-            continue
+    for spec in _connected_partitions(n, smallest=2):
         report.cases += 1
         g = build_multipartite(spec)
         _check_complement_identity(report, spec, g, eccentricity_matrix(g).matrix)
@@ -268,9 +289,9 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
 
     radii: list[tuple[float, MultipartiteSpec]] = []
     energies: list[tuple[float, MultipartiteSpec]] = []
-    for spec in enumerate_partitions(n, connected_only=True):
+    specs = enumerate_partitions(n, connected_only=True)
+    for spec, _, _, spectrum in _numeric_spectra(report, _multipartite(specs)):
         report.cases += 1
-        _, spectrum = _numeric_spectrum(report, spec, build_multipartite(spec))
         radius = spectral_radius(spectrum)
         e = energy(spectrum)
         radii.append((radius, spec))
@@ -339,7 +360,7 @@ def _check_product(report, n: int, product, predicted: int) -> tuple[float, int]
     # diameter 2 and against the predicted energy; returns the numeric energy
     # and zero multiplicity
     label = [n, n, "x", 2]
-    _, spectrum = _numeric_spectrum(report, label, product)
+    ((_, _, _, spectrum),) = _numeric_spectra(report, [(label, product)])
     e_product = energy(spectrum)
     closed_eigs = antipodal_product_spectrum(2 * n, n, 2, 2).eigenvalues()
     numeric_eigs = np.array(spectrum.eigenvalues)
@@ -358,7 +379,7 @@ def _check_product(report, n: int, product, predicted: int) -> tuple[float, int]
 def _check_partner(report, spec, partner, e_product: float, predicted: int) -> float:
     # the partner must share the product's energy but not its zero eigenvalue
     report.cases += 1
-    _, spectrum = _numeric_spectrum(report, spec, partner)
+    ((_, _, _, spectrum),) = _numeric_spectra(report, [(spec, partner)])
     e_partner = energy(spectrum)
     dev = abs(e_product - e_partner)
     _record(report, dev)
@@ -421,13 +442,12 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
 
         # equal order + equal class count forces equal energy 4(order - p)
         order = 4 * n
-        specs = [s for s in enumerate_partitions(order, connected_only=True) if min(s.parts) >= 2]
+        specs = list(_connected_partitions(order, smallest=2))
         picked = _sample_indices(len(specs), GROUP_CHECK_CAP)
         sampled_orders[str(order)] = {"available": len(specs), "checked": len(picked)}
-        for idx in picked:
-            spec = specs[idx]
+        sweep = _multipartite(specs[idx] for idx in picked)
+        for spec, _, _, spectrum in _numeric_spectra(report, sweep):
             report.cases += 1
-            _, spectrum = _numeric_spectrum(report, spec, build_multipartite(spec))
             e = energy(spectrum)
             expected = float(4 * (order - spec.p))
             dev = abs(e - expected)

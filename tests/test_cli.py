@@ -163,9 +163,17 @@ def test_spectrum_zero_tolerance_is_accepted(capsys):
 
 
 def test_verify_equienergetic_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--theorem", "6", "--n", "3")
+    code, out, _ = run(capsys, "verify", "--theorem", "6", "--nmax", "3")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("theorem", ["5", "6"])
+def test_verify_pair_sweep_rejects_a_single_order(capsys, theorem):
+    # --n N used to sweep the pair orders 2..N exactly like --nmax N
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--n", "4")
+    assert code == 2 and out == ""
+    assert err == f"error: theorem {theorem} sweeps the pair orders 2..N: use --nmax N, not --n\n"
 
 
 def test_verify_fails_with_exit_one_under_fault_injection(capsys, monkeypatch):

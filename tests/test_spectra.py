@@ -147,6 +147,76 @@ def test_random_integer_matrices_against_both_oracles(n):
     assert_matches_both_oracles(random_symmetric_integers(n, 100 + n))
 
 
+# stacks: one call per stack, the same bits as one call per matrix
+
+
+def bits(eigs):
+    # compare float arrays bit for bit, signed zeros included
+    return np.ascontiguousarray(eigs).view(np.int64)
+
+
+def assert_stack_matches_singles(stack):
+    stacked = es.symmetric_eigenvalues(stack)
+    assert stacked.shape == np.shape(stack)[:2]
+    for matrix, row in zip(stack, stacked):
+        assert np.array_equal(bits(row), bits(es.symmetric_eigenvalues(matrix)))
+    return stacked
+
+
+def test_stacked_solves_match_single_solves_on_the_sweep_matrices():
+    # every connected partition with n <= 16, one stack per order, and the
+    # order-24 specs of the equal-order sweep (every class of size >= 2)
+    orders = {n: es.enumerate_partitions(n, connected_only=True) for n in range(2, 17)}
+    orders[24] = [s for s in es.enumerate_partitions(24, connected_only=True) if min(s.parts) >= 2]
+    assert len(orders[24]) == 319
+    for specs in orders.values():
+        assert_stack_matches_singles(np.stack([ecc(spec) for spec in specs]))
+
+
+def test_mixed_stacks_match_single_solves():
+    dense = random_symmetric_integers(9, 3)
+    diagonal = np.diag([4, -1, 0, 7, 2, 2, -3, 1, 5])  # every column is skipped
+    block = np.zeros((9, 9), dtype=int)
+    block[:4, :4] = random_symmetric_integers(4, 4)    # skipped from column 3 on
+    assert_stack_matches_singles(np.stack([diagonal, dense, block, dense.T]))
+
+    zero = np.zeros((9, 9), dtype=int)
+    eigs = assert_stack_matches_singles(np.stack([dense, zero, diagonal]))
+    assert bits(eigs[1]).tolist() == [0] * 9  # +0.0, as a zero matrix alone gives
+
+    scaled = np.stack([dense, np.ldexp(dense.astype(float), 600),
+                       np.ldexp(dense.astype(float), -600), block])
+    eigs = assert_stack_matches_singles(scaled)
+    assert np.array_equal(eigs[1], np.ldexp(eigs[0], 600))
+    assert np.array_equal(eigs[2], np.ldexp(eigs[0], -600))
+
+
+def test_one_asymmetric_matrix_rejects_the_stack():
+    stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+    stack[1, 0, 2] = 1.0
+    with pytest.raises(NonSymmetricInputError):
+        es.symmetric_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 0), (0, 0, 0)])
+def test_empty_stacks_keep_their_shape(shape):
+    assert es.symmetric_eigenvalues(np.zeros(shape)).shape == shape[:2]
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3,), (2, 3, 4)])
+def test_other_shapes_are_rejected(shape):
+    with pytest.raises(NonSymmetricInputError):
+        es.symmetric_eigenvalues(np.zeros(shape))
+
+
+def test_sweep_cap_raises_convergence_failure_on_a_stack():
+    stack = np.stack([np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    with pytest.raises(ConvergenceFailureError):
+        es.symmetric_eigenvalues(stack, sweep_cap=0)
+    eigs = es.symmetric_eigenvalues(stack, sweep_cap=1)
+    assert eigs.tolist() == [[2, 1], pytest.approx([1, -1], abs=1e-12)]
+
+
 # grouping
 
 

@@ -50,6 +50,14 @@ def test_enumerate_partitions_connected_only_drops_single_class():
         es.enumerate_partitions(0)
 
 
+@pytest.mark.parametrize("smallest", [2, 3])
+def test_connected_partitions_with_a_smallest_part_match_the_filtered_list(smallest):
+    for n in range(1, 25):
+        expected = [s for s in es.enumerate_partitions(n, connected_only=True)
+                    if min(s.parts) >= smallest]
+        assert list(verification._connected_partitions(n, smallest)) == expected
+
+
 def test_closed_forms_report_small_order():
     report = es.verify_closed_forms(5)
     assert report.passed
@@ -178,16 +186,17 @@ def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
 
 
 def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
-    # shifting every eigenvalue by +1 breaks the trace identity everywhere
-    original = verification.matrix_spectrum
+    # shifting every eigenvalue by +1 breaks the trace identity everywhere;
+    # the batched step solves stacks, and single product and partner graphs
+    # as stacks of one
+    original = verification.symmetric_eigenvalues
+    stacks = []
 
-    def shifted(matrix, tol=None):
-        s = original(matrix, tol)
-        return es.Spectrum(
-            tuple(x + 1 for x in s.eigenvalues), tuple((v + 1, m) for v, m in s.groups), s.n
-        )
+    def shifted(matrices):
+        stacks.append(len(matrices))
+        return original(matrices) + 1
 
-    monkeypatch.setattr(verification, "matrix_spectrum", shifted)
+    monkeypatch.setattr(verification, "symmetric_eigenvalues", shifted)
     report = es.verify_equienergetic(2)
     flagged = [v["spec"] for v in report.violations if v["check"] == "oracle_trace"]
     assert [2, 2, "x", 2] in flagged
@@ -196,6 +205,23 @@ def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
     sweep = [list(s.parts) for s in es.enumerate_partitions(8, connected_only=True) if min(s.parts) >= 2]
     assert len(sweep) == 6
     assert all(parts in flagged for parts in sweep)
+    # product, partner, then the six sweep specs in one stack
+    assert stacks == [1, 1, 6]
+
+
+def test_oracle_findings_keep_the_enumeration_order(monkeypatch):
+    # a stack is solved at once, but each spec's oracle findings come just
+    # before its own checks, so the violations run spec by spec
+    original = verification.symmetric_eigenvalues
+    monkeypatch.setattr(verification, "symmetric_eigenvalues", lambda m: original(m) + 1)
+    report = es.verify_closed_forms(8)
+    specs = [list(s.parts) for s in es.enumerate_partitions(8, connected_only=True)]
+    flagged = [v["spec"] for v in report.violations]
+    assert [specs.index(spec) for spec in flagged] == sorted(specs.index(spec) for spec in flagged)
+    assert set(map(tuple, flagged)) == set(map(tuple, specs))
+    for spec in specs:
+        checks = [v["check"] for v in report.violations if v["spec"] == spec]
+        assert checks[0] == "oracle_trace" and "spectrum_values" in checks
 
 
 def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
