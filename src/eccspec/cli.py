@@ -104,8 +104,6 @@ def _spectrum_route(args) -> tuple[int, str, tuple, float]:
     --parts takes the closed form, which needs no graph, unless --numeric is
     given; only the eigensolver route reads or builds a graph."""
     spec = args.parts
-    if args.closed and spec is None:
-        raise EccspecError("--closed needs --parts (closed forms cover multipartite specs)")
     if spec is not None and not args.numeric:
         closed = multipartite_spectrum_closed(spec)
         return spec.n, "closed", closed.entries, closed.energy()
@@ -220,9 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="eccentricity spectrum, grouped")
     _add_graph_input(spectrum)
-    mode = spectrum.add_mutually_exclusive_group()
-    mode.add_argument("--numeric", action="store_true", help="force the eigensolver route")
-    mode.add_argument("--closed", action="store_true", help="force the closed form (needs --parts)")
+    spectrum.add_argument("--numeric", action="store_true", help="force the eigensolver route")
     spectrum.add_argument("--format", choices=["text", "json", "csv"], default="text")
     spectrum.add_argument("--tol", type=float, default=None,
                           help="grouping tolerance for the numeric route (default 1e-8*max(1, norm))")
@@ -230,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     energy = sub.add_parser("energy", help="eccentricity energy")
     _add_graph_input(energy)
-    emode = energy.add_mutually_exclusive_group()
-    emode.add_argument("--numeric", action="store_true")
-    emode.add_argument("--closed", action="store_true")
+    energy.add_argument("--numeric", action="store_true", help="force the eigensolver route")
     energy.add_argument("--format", choices=["text", "json"], default="text")
     energy.set_defaults(func=_cmd_energy)
 

@@ -12,9 +12,10 @@ The spectrum of K_{n1,...,np} comes from one of two routes:
   classes and inside the clique, and repeated large class sizes deflate
   exactly to 2(m - 1); the remaining eigenvalues are the simple roots of the
   equitable quotient over (distinct large sizes..., clique), a monic integer
-  polynomial.  Degree 1 (the complete graph) and degree 2 (one distinct large
-  size) give exact ints and quadratic surds; higher degrees keep integer
-  roots exact and the rest as floats.
+  polynomial.  Degree 2 (one distinct large size) gives exact quadratic
+  surds; otherwise the roots are the eigenvalues of the symmetric arrowhead
+  similar to the quotient, with integer roots kept exact (the complete
+  graph's n - 1 among them) and the rest as floats.
 """
 
 import math
@@ -136,33 +137,28 @@ def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> lis
     return poly
 
 
-def _real_roots(int_coeffs: list[int]) -> list[int | float]:
-    # Roots of the arrowhead quotient are simple and strictly interlace its
-    # distinct even diagonal values, so no other root lies within 1/2 of an
-    # integer root: rounding each float root and confirming it by exact
-    # Horner evaluation recovers every integer root as an int.
-    roots = np.roots(np.array(int_coeffs, dtype=np.float64))
-    scale = 1.0 + max(abs(r) for r in roots)
-    if np.abs(roots.imag).max() > 1e-9 * scale:
-        raise ArithmeticError("quotient polynomial produced non-real roots")
-    out = []
-    for root in roots.real:
-        k = round(float(root))
-        value = 0
-        for coeff in int_coeffs:
-            value = value * k + coeff
-        out.append(k if value == 0 else float(root))
-    return sorted(out, reverse=True)
-
-
-def _quotient_roots(poly: list[int]) -> list:
-    # the quotient polynomial is monic: degree 1 is the complete graph's
-    # n - 1, degree 2 keeps exact surds, higher degrees go through np.roots
-    if len(poly) == 2:
-        return [-poly[1]]
+def _quotient_roots(distinct_sizes: list[tuple[int, int]], singles: int, poly: list[int]) -> list:
+    # Degree 2 (one distinct large size) keeps exact surds.  Otherwise the
+    # roots are the eigenvalues of the symmetric arrowhead similar to the
+    # quotient: diagonal 2(m-1) per distinct size and singles-1 in the
+    # corner, border sqrt(singles*m*count).  The roots are simple and
+    # strictly interlace the distinct even diagonal values, so no other root
+    # lies within 1/2 of an integer root: rounding each eigenvalue and
+    # confirming it by exact Horner evaluation recovers every integer root
+    # as an int, the complete graph's singles-1 included.
     if len(poly) == 3:
         return list(quadratic_roots(-poly[1], poly[2]))
-    return _real_roots(poly)
+    arrow = np.diag([2.0 * (m - 1) for m, _ in distinct_sizes] + [singles - 1.0])
+    border = np.sqrt([float(singles * m * count) for m, count in distinct_sizes])
+    arrow[-1, :-1] = arrow[:-1, -1] = border
+    out = []
+    for root in np.linalg.eigvalsh(arrow).tolist():
+        r = round(root)
+        value = 0
+        for coeff in poly:
+            value = value * r + coeff
+        out.append(r if value == 0 else root)
+    return out
 
 
 def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
@@ -192,7 +188,7 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
                    "large_classes": len(large), "quotient_poly": tuple(poly)})
     pairs = [(-2, sum(large) - len(large)), (-1, singles - 1)]
     pairs.extend((2 * (size - 1), count - 1) for size, count in counts)
-    pairs.extend((root, 1) for root in _quotient_roots(poly))
+    pairs.extend((root, 1) for root in _quotient_roots(counts, singles, poly))
     return ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, params)
 
 

@@ -13,6 +13,10 @@ class PreconditionViolatedError(EccspecError):
     """The stated hypotheses of an operation do not hold for the input."""
 
 
+class OrderTooLargeError(EccspecError):
+    """A graph would have more than graphs.MAX_ORDER vertices."""
+
+
 class InvalidSpecError(EccspecError):
     """A multipartite part list is malformed (empty, or a part below 1)."""
 

@@ -3,7 +3,9 @@
 Vertices are always 0..n-1 and adjacency is a dense symmetric boolean matrix.
 That keeps every operation a couple of numpy expressions; the library targets
 desk-scale graphs (n up to a few thousand), where O(n^2) storage is irrelevant
-next to the dense distance and eccentricity matrices built on top.
+next to the dense distance and eccentricity matrices built on top.  Every
+route that allocates an n x n matrix from an order it was given checks that
+order against MAX_ORDER first.
 """
 
 from dataclasses import dataclass
@@ -13,10 +15,22 @@ import numpy as np
 from .errors import (
     DisconnectedGraphError,
     InvalidSpecError,
+    OrderTooLargeError,
     PreconditionViolatedError,
     SelfLoopError,
     VertexOutOfRangeError,
 )
+
+# Largest order a graph may have.  Dense storage keeps a handful of n x n
+# matrices alive at once (adjacency, distances, the eccentricity matrix): at
+# this order the eccentricity matrix of a diameter-2 graph peaks at about
+# 600 MB.  Closed forms of multipartite specs build no graph and need no bound.
+MAX_ORDER = 4096
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise OrderTooLargeError(f"order {n} exceeds the maximum of {MAX_ORDER} vertices")
 
 
 class Graph:
@@ -42,8 +56,10 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph on n vertices from (u, v) pairs; duplicates are fine.
 
-        Raises VertexOutOfRangeError or SelfLoopError, both ValueErrors.
+        Raises OrderTooLargeError above MAX_ORDER vertices, and
+        VertexOutOfRangeError or SelfLoopError, both ValueErrors.
         """
+        _check_order(n)
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -118,6 +134,7 @@ def build_multipartite(parts) -> Graph:
     Vertices are laid out class by class, largest class first.
     """
     spec = as_spec(parts)
+    _check_order(spec.n)
     labels = np.repeat(np.arange(spec.p), spec.parts)
     return Graph(labels[:, None] != labels[None, :])
 
@@ -141,6 +158,7 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: (v1,w1) ~ (v2,w2) when each coordinate is equal or
     adjacent, excluding the fully-equal pair.  Vertex (v, w) maps to v*h.n + w.
     """
+    _check_order(g.n * h.n)
     ag = g.adjacency.astype(np.uint8)
     ah = h.adjacency.astype(np.uint8)
     ig = np.eye(g.n, dtype=np.uint8)

@@ -78,12 +78,13 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diagonal(a, axis1=1, axis2=2), np.diagonal(a, 1, axis1=1, axis2=2)
 
 
-def _tridiagonal_ql(d: list[float], e: list[float], cap: int) -> list[float]:
+def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
     """Eigenvalues of the symmetric tridiagonal (d, e) by implicit QL (tqli).
 
     d is overwritten with the eigenvalues; e[i] couples d[i] and d[i + 1].
     An off-diagonal entry is dropped once it is below eps times its two
-    neighbouring diagonal entries.
+    neighbouring diagonal entries.  Each eigenvalue gets at most
+    QL_ITERATION_CAP iterations; the module constant is read at call time.
     """
     n = len(d)
     e.append(0.0)
@@ -95,9 +96,9 @@ def _tridiagonal_ql(d: list[float], e: list[float], cap: int) -> list[float]:
                 m += 1
             if m == l:
                 break
-            if iterations >= cap:
+            if iterations >= QL_ITERATION_CAP:
                 raise ConvergenceFailureError(
-                    f"eigenvalue {l} did not converge in {cap} QL iterations; "
+                    f"eigenvalue {l} did not converge in {QL_ITERATION_CAP} QL iterations; "
                     "this should be impossible for symmetric input"
                 )
             iterations += 1
@@ -131,15 +132,15 @@ def _tridiagonal_ql(d: list[float], e: list[float], cap: int) -> list[float]:
     return d
 
 
-def symmetric_eigenvalues(matrix, sweep_cap: int = QL_ITERATION_CAP) -> np.ndarray:
+def symmetric_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, or of each matrix in a stack,
     sorted descending.
 
     matrix is one (n, n) matrix or a stack (k, n, n); the result has shape
     (n,) or (k, n), as for numpy.linalg.eigvalsh.  Householder
     tridiagonalisation runs once per column for the whole stack, then
-    implicit QL runs on each tridiagonal; sweep_cap bounds the QL iterations
-    spent on any one eigenvalue.  A single matrix is solved as a stack of
+    implicit QL runs on each tridiagonal; QL_ITERATION_CAP bounds the QL
+    iterations spent on any one eigenvalue.  A single matrix is solved as a stack of
     one, and each matrix of a stack gets the same bits as it would alone.
     Each working copy is scaled by an exact power of two so its largest
     entry lies in [0.5, 1): no intermediate overflows, no entry that matters
@@ -161,7 +162,7 @@ def symmetric_eigenvalues(matrix, sweep_cap: int = QL_ITERATION_CAP) -> np.ndarr
     work = np.ldexp(work, -exponents[:, None, None])
     diagonals, subdiagonals = _tridiagonalize(work)
     eigs = [
-        sorted(_tridiagonal_ql(d, e, sweep_cap), reverse=True)
+        sorted(_tridiagonal_ql(d, e), reverse=True)
         for d, e in zip(diagonals.tolist(), subdiagonals.tolist())
     ]
     return np.ldexp(np.array(eigs), exponents[:, None]).reshape(m.shape[:-1])

@@ -10,6 +10,7 @@ import eccspec as es
 import eccspec.cli as cli
 import eccspec.closed_form as closed_form
 from eccspec.cli import format_number, main
+from eccspec.graphs import MAX_ORDER
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
@@ -213,6 +214,7 @@ def test_identical_invocations_are_byte_identical(capsys):
         ["spectrum"],
         ["spectrum", "--parts", "2,x"],
         ["spectrum", "--g6", "A_", "--closed"],
+        ["energy", "--parts", "3,1", "--closed"],
         ["spectrum", "--parts", "0"],
         ["energy", "--g6", "not graph6"],
         ["eccmx", "--edges", "/nonexistent/file"],
@@ -241,3 +243,23 @@ def test_number_formatting_normalises_negative_zero():
     assert format_number(-0.0) == "0"
     assert format_number(2.0) == "2"
     assert format_number(2 + math.sqrt(7)) == "4.64575131106"
+
+
+@pytest.mark.parametrize("top", [22, 25])
+def test_energy_of_high_degree_quotients_exits_zero(capsys, top):
+    parts = ",".join(str(size) for size in range(top, 0, -1))
+    code, out, _ = run(capsys, "energy", "--parts", parts)
+    assert code == 0
+    assert float(out) > 0
+
+
+def test_oversized_orders_are_input_errors(capsys, tmp_path):
+    edges = tmp_path / "too_big.txt"
+    edges.write_text(f"{MAX_ORDER + 1} 0\n", encoding="ascii")
+    for argv in (["eccmx", "--edges", str(edges)],
+                 ["spectrum", "--parts", f"{MAX_ORDER},1", "--numeric"],
+                 ["gen", "--parts", f"{MAX_ORDER},1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and str(MAX_ORDER) in err

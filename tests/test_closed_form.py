@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eccspec as es
 from eccspec.errors import (
@@ -84,6 +86,47 @@ def test_integer_quotient_roots_stay_exact():
         assert entry in closed.entries
     assert all(type(value) is int for value, _ in closed.entries)
     assert closed.energy_exact() == 34
+
+
+def test_twenty_distinct_class_sizes_match_the_eigensolver():
+    # K_{20,19,...,1}: a degree-20 quotient, whose roots the arrowhead's
+    # eigenvalues give to working accuracy (its expanded polynomial does not)
+    parts = list(range(20, 0, -1))
+    closed = es.multipartite_spectrum_closed(parts)
+    numeric = es.matrix_spectrum(es.eccentricity_matrix(es.build_multipartite(parts)).matrix)
+    assert [mult for _, mult in closed.entries] == [mult for _, mult in numeric.groups]
+    for (value, _), (expected, _) in zip(closed.entries, numeric.groups):
+        assert abs(float(value) - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("top", [22, 25])
+def test_high_degree_quotients_give_a_full_spectrum(top):
+    closed = es.multipartite_spectrum_closed(range(top, 0, -1))
+    assert closed.total_multiplicity == top * (top + 1) // 2
+    assert closed.trace() == pytest.approx(0, abs=1e-9)
+
+
+@st.composite
+def connected_partitions(draw):
+    # 21 <= n <= 60 with up to 12 singletons and large classes of at most 16,
+    # so there are always two classes and often several distinct large sizes
+    n = draw(st.integers(21, 60))
+    singles = draw(st.integers(0, 12))
+    parts, left = [1] * singles, n - singles
+    while left >= 2:
+        size = draw(st.integers(2, min(left, 16)))
+        parts.append(size)
+        left -= size
+    return parts + [1] * left
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_partitions())
+def test_closed_form_matches_the_numeric_route_beyond_twenty(parts):
+    closed = es.multipartite_spectrum_closed(parts)
+    m = es.eccentricity_matrix(es.build_multipartite(parts)).matrix
+    bound = 1e-9 * max(1.0, float(np.linalg.norm(m)))
+    assert np.abs(closed.eigenvalues() - es.symmetric_eigenvalues(m)).max() <= bound
 
 
 def test_every_partition_matches_numerically_up_to_eight():

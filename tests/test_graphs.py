@@ -7,10 +7,12 @@ import eccspec as es
 from eccspec.errors import (
     DisconnectedGraphError,
     InvalidSpecError,
+    OrderTooLargeError,
     PreconditionViolatedError,
     SelfLoopError,
     VertexOutOfRangeError,
 )
+from eccspec.graphs import MAX_ORDER
 from helpers import floyd_warshall_distances, random_adjacency, UNREACHABLE
 
 
@@ -274,3 +276,13 @@ def test_from_edges_raises_the_typed_edge_errors():
         es.Graph.from_edges(3, [(0, 1), (-1, 2)])
     with pytest.raises(SelfLoopError):
         es.Graph.from_edges(3, [(2, 2)])
+
+
+def test_generators_bound_the_order_but_closed_forms_do_not():
+    with pytest.raises(OrderTooLargeError):
+        es.build_multipartite([MAX_ORDER, 1])
+    with pytest.raises(OrderTooLargeError):
+        es.strong_product(es.complete(65), es.complete(64))
+    with pytest.raises(OrderTooLargeError):
+        es.Graph.from_edges(MAX_ORDER + 1, [])
+    assert es.multipartite_spectrum_closed([MAX_ORDER, 1]).total_multiplicity == MAX_ORDER + 1

@@ -8,10 +8,12 @@ from eccspec.errors import (
     Graph6FormatError,
     InvalidByteError,
     MalformedHeaderError,
+    OrderTooLargeError,
     SelfLoopError,
     TruncatedPayloadError,
     VertexOutOfRangeError,
 )
+from eccspec.graphs import MAX_ORDER
 from helpers import random_adjacency
 
 
@@ -117,3 +119,18 @@ def test_payload_length_must_match():
 def test_vertexless_encoding_is_rejected():
     with pytest.raises(Graph6FormatError):
         es.parse_graph6("?")
+
+
+def test_edge_list_order_is_bounded_before_allocation():
+    assert es.parse_edge_list(f"{MAX_ORDER} 0\n").n == MAX_ORDER
+    with pytest.raises(OrderTooLargeError):
+        es.parse_edge_list(f"{MAX_ORDER + 1} 0\n")
+
+
+def test_graph6_order_is_bounded_before_the_payload_check():
+    # a long-form order field above the bound and no payload: the order
+    # guard fires, not the payload-length check
+    n = MAX_ORDER + 1
+    order_field = "~" + "".join(chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0))
+    with pytest.raises(OrderTooLargeError):
+        es.parse_graph6(order_field)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eccspec as es
+from eccspec import spectra
 from helpers import jacobi_eigenvalues, quotient_matrix_loop
 from eccspec.errors import (
     ConvergenceFailureError,
@@ -67,9 +68,10 @@ def test_non_symmetric_input_is_rejected():
         es.symmetric_eigenvalues(np.ones((2, 3)))
 
 
-def test_sweep_cap_raises_convergence_failure():
+def test_sweep_cap_raises_convergence_failure(monkeypatch):
+    monkeypatch.setattr(spectra, "QL_ITERATION_CAP", 0)
     with pytest.raises(ConvergenceFailureError):
-        es.symmetric_eigenvalues(np.array([[0, 1], [1, 0]]), sweep_cap=0)
+        es.symmetric_eigenvalues(np.array([[0, 1], [1, 0]]))
 
 
 def test_zero_test_does_not_underflow():
@@ -209,11 +211,13 @@ def test_other_shapes_are_rejected(shape):
         es.symmetric_eigenvalues(np.zeros(shape))
 
 
-def test_sweep_cap_raises_convergence_failure_on_a_stack():
+def test_sweep_cap_raises_convergence_failure_on_a_stack(monkeypatch):
     stack = np.stack([np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    monkeypatch.setattr(spectra, "QL_ITERATION_CAP", 0)
     with pytest.raises(ConvergenceFailureError):
-        es.symmetric_eigenvalues(stack, sweep_cap=0)
-    eigs = es.symmetric_eigenvalues(stack, sweep_cap=1)
+        es.symmetric_eigenvalues(stack)
+    monkeypatch.setattr(spectra, "QL_ITERATION_CAP", 1)
+    eigs = es.symmetric_eigenvalues(stack)
     assert eigs.tolist() == [[2, 1], pytest.approx([1, -1], abs=1e-12)]
 
 

@@ -227,11 +227,12 @@ def test_oracle_findings_keep_the_enumeration_order(monkeypatch):
 def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
     # a float-only root finder splits K_{4,2,2,1,1}'s eigenvalue -2 over two
     # closed-form entries; the multiplicity check compares them unmerged
-    def float_roots(int_coeffs):
-        roots = np.roots(np.array(int_coeffs, dtype=np.float64))
-        return sorted((float(r) for r in roots.real), reverse=True)
+    exact_roots = closed_form._quotient_roots
 
-    monkeypatch.setattr(closed_form, "_real_roots", float_roots)
+    def float_roots(distinct_sizes, singles, poly):
+        return [float(root) for root in exact_roots(distinct_sizes, singles, poly)]
+
+    monkeypatch.setattr(closed_form, "_quotient_roots", float_roots)
     report = es.verify_closed_forms(10)
     assert any(v["check"] == "multiplicities" for v in report.violations)
     assert cli_main(["verify", "--theorem", "1", "--n", "10"]) == 1
