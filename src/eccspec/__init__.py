@@ -8,9 +8,6 @@ closed form and bound against the numeric route.
 """
 
 from .closed_form import (
-    CASE_ALL_PARTS_GE_2,
-    CASE_PRODUCT_THM5,
-    CASE_SPLIT_MIXED,
     ClosedFormSpectrum,
     antipodal_product_spectrum,
     energy_bounds,
@@ -56,9 +53,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CASE_ALL_PARTS_GE_2",
-    "CASE_PRODUCT_THM5",
-    "CASE_SPLIT_MIXED",
     "ClosedFormSpectrum",
     "DistanceMatrix",
     "EccentricityMatrix",

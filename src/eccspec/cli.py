@@ -93,8 +93,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_eccmx(args) -> int:
     matrix = eccentricity_matrix(_resolve_graph(args)).matrix
-    for row in matrix:
-        print(" ".join(str(int(x)) for x in row))
+    for row in matrix.tolist():
+        print(" ".join(map(str, row)))
     return EXIT_OK
 
 

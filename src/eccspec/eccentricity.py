@@ -24,10 +24,6 @@ class EccentricityMatrix:
     matrix: np.ndarray
     provenance: str
 
-    @property
-    def n(self) -> int:
-        return int(self.matrix.shape[0])
-
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
     matrix.setflags(write=False)

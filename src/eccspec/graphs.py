@@ -159,12 +159,9 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     adjacent, excluding the fully-equal pair.  Vertex (v, w) maps to v*h.n + w.
     """
     _check_order(g.n * h.n)
-    ag = g.adjacency.astype(np.uint8)
-    ah = h.adjacency.astype(np.uint8)
-    ig = np.eye(g.n, dtype=np.uint8)
-    ih = np.eye(h.n, dtype=np.uint8)
-    combined = np.kron(ag, ah) + np.kron(ag, ih) + np.kron(ig, ah)
-    return Graph(combined > 0)
+    closed = np.kron(g.adjacency | np.eye(g.n, dtype=bool), h.adjacency | np.eye(h.n, dtype=bool))
+    np.fill_diagonal(closed, False)
+    return Graph(closed)
 
 
 @dataclass(frozen=True)
@@ -221,17 +218,9 @@ def antipodal_class(g: Graph) -> int | None:
     dm = all_pairs_distances(g)
     rel = dm.matrix == dm.diameter
     np.fill_diagonal(rel, True)
-    seen = np.zeros(g.n, dtype=bool)
-    size = None
-    for u in range(g.n):
-        if seen[u]:
-            continue
-        members = np.flatnonzero(rel[u])
-        if not (rel[members] == rel[u]).all():
-            return None  # relation is not transitive: fibres are ill-defined
-        if size is None:
-            size = len(members)
-        elif len(members) != size:
-            return None
-        seen[members] = True
-    return int(size)
+    # rel is reflexive and symmetric; it is transitive exactly when the
+    # vertices sharing each distinct row are that row's members
+    rows, counts = np.unique(rel, axis=0, return_counts=True)
+    if (rows.sum(axis=1) != counts).any() or counts.min() != counts.max():
+        return None
+    return int(counts[0])

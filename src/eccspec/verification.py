@@ -35,8 +35,6 @@ from .graphs import (
     all_pairs_distances,
     antipodal_class,
     build_multipartite,
-    complete,
-    strong_product,
 )
 from .spectra import (
     _grouping_tol,
@@ -186,6 +184,36 @@ def _char_poly(a) -> list[int]:
     return coeffs
 
 
+def _sweep_report(theorem: str, n: int) -> VerificationReport:
+    if n < 4:
+        raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
+    return VerificationReport(theorem, n)
+
+
+def _check_spectrum(report, label, closed, numeric) -> bool:
+    # closed form against the numeric spectrum: its size, its values and its
+    # unmerged multiplicities; False on a size mismatch, where the values
+    # cannot be paired
+    closed_eigs = closed.eigenvalues()
+    numeric_eigs = np.array(numeric.eigenvalues)
+    if len(closed_eigs) != len(numeric_eigs):
+        _violation(report, label, "spectrum_size", len(numeric_eigs), len(closed_eigs))
+        return False
+    dev = float(np.max(np.abs(closed_eigs - numeric_eigs)))
+    _record(report, dev)
+    if dev >= TOL_MATCH:
+        _violation(report, label, "spectrum_values", numeric_eigs.tolist(), closed_eigs.tolist())
+    if [m for _, m in closed.entries] != [m for _, m in numeric.groups]:
+        _violation(
+            report,
+            label,
+            "multiplicities",
+            [[v, m] for v, m in numeric.groups],
+            [[float(v), m] for v, m in closed.entries],
+        )
+    return True
+
+
 def _check_complement_identity(report, spec, g, matrix) -> None:
     # Lemma 2: on diameter-2 specs the eccentricity matrix is 2*A(complement)
     dev = float(np.max(np.abs(ecc_via_complement(g).matrix - matrix)))
@@ -204,34 +232,13 @@ def verify_closed_forms(n: int) -> VerificationReport:
     equal params["quotient_poly"] times (x - 2(m - 1)) for each large class
     that repeats an earlier size m: an integer identity, with no tolerance.
     """
-    if n < 4:
-        raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
-    report = VerificationReport("multipartite_closed_spectra", n)
+    report = _sweep_report("multipartite_closed_spectra", n)
     specs = enumerate_partitions(n, connected_only=True)
     for spec, g, matrix, numeric in _numeric_spectra(report, _multipartite(specs)):
         report.cases += 1
         closed = multipartite_spectrum_closed(spec)
-
-        closed_eigs = closed.eigenvalues()
-        numeric_eigs = np.array(numeric.eigenvalues)
-        if len(closed_eigs) != len(numeric_eigs):
-            _violation(report, spec, "spectrum_size", len(numeric_eigs), len(closed_eigs))
+        if not _check_spectrum(report, spec, closed, numeric):
             continue
-        dev = float(np.max(np.abs(closed_eigs - numeric_eigs)))
-        _record(report, dev)
-        if dev >= TOL_MATCH:
-            _violation(
-                report, spec, "spectrum_values", numeric_eigs.tolist(), closed_eigs.tolist()
-            )
-        if [m for _, m in closed.entries] != [m for _, m in numeric.groups]:
-            _violation(
-                report,
-                spec,
-                "multiplicities",
-                [[v, m] for v, m in numeric.groups],
-                [[float(v), m] for v, m in closed.entries],
-            )
-
         if all(size >= 2 for size in spec.parts):
             _check_complement_identity(report, spec, g, matrix)
         elif any(size >= 2 for size in spec.parts):
@@ -257,9 +264,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
 def verify_lemma2(n: int) -> VerificationReport:
     """Entrywise identity ecc matrix == 2*A(complement) for every spec of n
     whose classes all have size >= 2."""
-    if n < 4:
-        raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
-    report = VerificationReport("complement_identity", n)
+    report = _sweep_report("complement_identity", n)
     for spec in _connected_partitions(n, smallest=2):
         report.cases += 1
         g = build_multipartite(spec)
@@ -279,9 +284,7 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
     minimal, because the naive reading of the extremal statement puts it at
     the minimum and the computation says otherwise.
     """
-    if n < 4:
-        raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
-    report = VerificationReport("radius_and_energy_bounds", n)
+    report = _sweep_report("radius_and_energy_bounds", n)
     ub_radius = radius_upper_bound(n)
     lb_energy, ub_energy = energy_bounds(n)
     star = MultipartiteSpec((n - 1, 1))
@@ -358,17 +361,13 @@ def _sample_indices(count: int, cap: int) -> list[int]:
 def _check_product(report, n: int, product, predicted: int) -> tuple[float, int]:
     # K_{n,n} (x) K_2 against the antipodal product spectrum with a = n and
     # diameter 2 and against the predicted energy; returns the numeric energy
-    # and zero multiplicity
+    # and zero multiplicity.  The energy and zero checks read the numeric
+    # spectrum alone, so they run even when the closed form's size is wrong
     label = [n, n, "x", 2]
     ((_, _, _, spectrum),) = _numeric_spectra(report, [(label, product)])
+    _check_spectrum(report, label, antipodal_product_spectrum(2 * n, n, 2, 2), spectrum)
     e_product = energy(spectrum)
-    closed_eigs = antipodal_product_spectrum(2 * n, n, 2, 2).eigenvalues()
-    numeric_eigs = np.array(spectrum.eigenvalues)
-    dev = float(np.max(np.abs(closed_eigs - numeric_eigs)))
-    _record(report, dev)
-    if dev >= TOL_MATCH:
-        _violation(report, label, "product_spectrum", closed_eigs.tolist(), numeric_eigs.tolist())
-    zero_mult = int(np.sum(np.abs(numeric_eigs) < ZERO_EIG_TOL))
+    zero_mult = int(np.sum(np.abs(np.array(spectrum.eigenvalues)) < ZERO_EIG_TOL))
     if zero_mult != 2 * n:
         _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
     if abs(e_product - predicted) >= TOL_MATCH:
@@ -416,12 +415,14 @@ def verify_equienergetic_pair(n: int, i: int) -> VerificationReport:
 def verify_equienergetic(n_max: int) -> VerificationReport:
     """Check the equienergetic pair construction for every n up to n_max.
 
-    Per n: the strong product K_{n,n} (x) K_2 must match the antipodal product
-    spectrum (including the zero eigenvalue of multiplicity 2n) and reach
-    energy 16(n-1), and every partner K_{n+i,n,n,n-i} must reach the same
-    energy while missing the zero eigenvalue.  On top of the pairs, all specs of order 4n whose
-    classes have size >= 2 are swept (sampled above GROUP_CHECK_CAP per order)
-    to confirm that equal order and equal class count force equal energy.
+    Per n: the strong product K_{n,n} (x) K_2 of equienergetic_pair must match
+    the antipodal product spectrum in size, values and multiplicities (the
+    zero eigenvalue of multiplicity 2n included) and reach energy 16(n-1),
+    and every partner K_{n+i,n,n,n-i} must reach the same energy while
+    missing the zero eigenvalue.  On top of the pairs, all specs of order 4n
+    whose classes have size >= 2 are swept (sampled above GROUP_CHECK_CAP per
+    order) to confirm that equal order and equal class count force equal
+    energy.
     """
     if n_max < 2:
         raise PreconditionViolatedError(f"pair construction needs n >= 2, got {n_max}")
@@ -434,8 +435,8 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
         if a != n or d != 2:
             _violation(report, MultipartiteSpec((n, n)), "antipodal_structure", [n, 2], [a, d])
             continue
-        predicted = 16 * (n - 1)
-        e_product, _ = _check_product(report, n, strong_product(base, complete(2)), predicted)
+        product, _, predicted = equienergetic_pair(n, 0)
+        e_product, _ = _check_product(report, n, product, predicted)
         for i in range(0, n - 1):
             partner_spec = MultipartiteSpec((n + i, n, n, n - i))
             _check_partner(report, partner_spec, build_multipartite(partner_spec), e_product, predicted)

@@ -138,3 +138,46 @@ def char_poly_by_leibniz(matrix) -> list[int]:
         for power, coeff in enumerate(term):
             total[power] += coeff
     return total[::-1]
+
+
+def antipodal_fibre_size_loop(adjacency):
+    """Fibre size of "equal or at diameter distance", vertex by vertex.
+
+    Each unseen vertex u takes its related vertices as a fibre; the result is
+    None when some member's row differs from u's (the relation is not
+    transitive) or when two fibres differ in size.  Needs a connected graph.
+    """
+    dist = floyd_warshall_distances(adjacency)
+    assert dist.max() < UNREACHABLE, "oracle needs a connected graph"
+    rel = dist == dist.max()
+    np.fill_diagonal(rel, True)
+    n = rel.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    size = None
+    for u in range(n):
+        if seen[u]:
+            continue
+        members = np.flatnonzero(rel[u])
+        if not (rel[members] == rel[u]).all():
+            return None
+        if size is None:
+            size = len(members)
+        elif len(members) != size:
+            return None
+        seen[members] = True
+    return int(size)
+
+
+def strong_product_by_edge_rule(a, b) -> np.ndarray:
+    """Adjacency of the strong product, pair by pair: (v, w) ~ (v', w') iff
+    each coordinate is equal or adjacent and not both are equal; vertex
+    (v, w) is v * len(b) + w."""
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    na, nb = len(a), len(b)
+    out = np.zeros((na * nb, na * nb), dtype=bool)
+    for v, w, v2, w2 in itertools.product(range(na), range(nb), range(na), range(nb)):
+        near_v = v == v2 or a[v, v2]
+        near_w = w == w2 or b[w, w2]
+        out[v * nb + w, v2 * nb + w2] = near_v and near_w and (v, w) != (v2, w2)
+    return out

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eccspec as es
+import eccspec.closed_form as closed_form
 from eccspec.errors import (
     DisconnectedSpecError,
     InvalidSpecError,
@@ -28,14 +29,14 @@ def numeric_spectrum(parts):
 
 def test_complete_graph_case():
     closed = es.multipartite_spectrum_closed([1, 1, 1, 1])
-    assert closed.case_tag == es.CASE_SPLIT_MIXED
+    assert closed.case_tag == closed_form.CASE_SPLIT_MIXED
     assert closed.entries == ((3, 1), (-1, 3))
     assert closed.params["quotient_poly"] == (1, -3)
 
 
 def test_all_large_case_doubles_the_complement_spectrum():
     closed = es.multipartite_spectrum_closed([2, 2])
-    assert closed.case_tag == es.CASE_ALL_PARTS_GE_2
+    assert closed.case_tag == closed_form.CASE_ALL_PARTS_GE_2
     assert closed.entries == ((2, 2), (-2, 2))
     closed = es.multipartite_spectrum_closed([4, 2])
     assert closed.entries == ((6, 1), (2, 1), (-2, 4))
@@ -45,7 +46,7 @@ def test_all_large_case_doubles_the_complement_spectrum():
 
 def test_split_case_keeps_exact_roots():
     closed = es.multipartite_spectrum_closed([3, 1])
-    assert closed.case_tag == es.CASE_SPLIT_MIXED
+    assert closed.case_tag == closed_form.CASE_SPLIT_MIXED
     assert closed.entries == ((Surd(2, 1, 7), 1), (Surd(2, -1, 7), 1), (-2, 2))
     assert closed.params["quotient_poly"] == (1, -4, -3)
 
@@ -73,7 +74,7 @@ def test_one_distinct_large_size_is_exact():
 @pytest.mark.parametrize("parts", [[3, 2, 1], [2, 2, 1, 1], [3, 2, 2, 1], [4, 3, 1, 1]])
 def test_mixed_general_matches_the_eigensolver(parts):
     closed = es.multipartite_spectrum_closed(parts)
-    assert closed.case_tag == es.CASE_SPLIT_MIXED
+    assert closed.case_tag == closed_form.CASE_SPLIT_MIXED
     assert np.allclose(closed.eigenvalues(), numeric_spectrum(parts), atol=1e-9)
 
 
@@ -233,7 +234,7 @@ def test_bounds_reject_small_orders_unless_allowed():
 
 def test_product_spectrum_balanced_bipartite_times_edge():
     closed = es.antipodal_product_spectrum(6, 3, 2, 2)
-    assert closed.case_tag == es.CASE_PRODUCT_THM5
+    assert closed.case_tag == closed_form.CASE_PRODUCT_THM5
     assert closed.entries == ((8, 2), (0, 6), (-4, 4))
     assert closed.energy() == pytest.approx(32)
 

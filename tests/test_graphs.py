@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eccspec as es
 from eccspec.errors import (
@@ -13,7 +15,13 @@ from eccspec.errors import (
     VertexOutOfRangeError,
 )
 from eccspec.graphs import MAX_ORDER
-from helpers import floyd_warshall_distances, random_adjacency, UNREACHABLE
+from helpers import (
+    UNREACHABLE,
+    antipodal_fibre_size_loop,
+    floyd_warshall_distances,
+    random_adjacency,
+    strong_product_by_edge_rule,
+)
 
 
 def path_graph(n):
@@ -22,6 +30,20 @@ def path_graph(n):
 
 def cycle_graph(n):
     return es.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@st.composite
+def adjacencies(draw, max_order, connected=False):
+    # a random upper triangle; connected graphs also get a random spanning
+    # tree, each vertex joined to an earlier one
+    n = draw(st.integers(2 if connected else 1, max_order))
+    upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, 1)] = upper
+    if connected:
+        for v in range(1, n):
+            adj[draw(st.integers(0, v - 1)), v] = True
+    return adj | adj.T
 
 
 # generators
@@ -151,6 +173,13 @@ def test_strong_product_distances_take_coordinate_maximum(g, h):
     assert np.array_equal(dp, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(adjacencies(5), adjacencies(5))
+def test_strong_product_matches_the_edge_rule(a, b):
+    product = es.strong_product(es.Graph(a), es.Graph(b))
+    assert np.array_equal(product.adjacency, strong_product_by_edge_rule(a, b))
+
+
 # distances
 
 
@@ -241,6 +270,25 @@ def test_unbalanced_and_odd_cycles_are_not_antipodal():
 
 def test_even_cycle_is_antipodal():
     assert es.antipodal_class(cycle_graph(6)) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(adjacencies(12, connected=True))
+def test_antipodal_class_matches_the_loop_oracle_on_random_graphs(adj):
+    assert es.antipodal_class(es.Graph(adj)) == antipodal_fibre_size_loop(adj)
+
+
+def test_antipodal_class_matches_the_loop_oracle_on_multipartite_specs():
+    fibred = 0
+    for n in range(2, 11):
+        for spec in es.enumerate_partitions(n, connected_only=True):
+            g = es.build_multipartite(spec)
+            size = es.antipodal_class(g)
+            assert size == antipodal_fibre_size_loop(g.adjacency), spec
+            fibred += size is not None
+    # the balanced specs and the complete graphs
+    assert fibred == sum(len({*s.parts}) == 1 for n in range(2, 11)
+                         for s in es.enumerate_partitions(n, connected_only=True))
 
 
 def test_antipodal_needs_two_vertices():

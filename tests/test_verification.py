@@ -1,5 +1,6 @@
 """Partition enumeration and the verification harness."""
 
+import dataclasses
 import json
 import math
 
@@ -111,6 +112,98 @@ def test_equienergetic_report_smallest_case():
         es.eccentricity_matrix(es.strong_product(es.build_multipartite([2, 2]), es.complete(2))).matrix))
     e_partner = es.multipartite_spectrum_closed([2, 2, 2, 2]).energy()
     assert e_pair == pytest.approx(16) and e_partner == pytest.approx(16)
+
+
+def test_equienergetic_sweep_samples_orders_beyond_the_cap():
+    report = es.verify_equienergetic(7)
+    assert report.passed
+    sweep = report.witnesses["equal_order_sweep"]
+    assert sweep["24"] == {"available": 319, "checked": 319}
+    assert sweep["28"] == {"available": 707, "checked": 400}
+
+
+def _drop_last_eigenvalue(closed):
+    value, mult = closed.entries[-1]
+    tail = ((value, mult - 1),) if mult > 1 else ()
+    return dataclasses.replace(closed, entries=closed.entries[:-1] + tail)
+
+
+def _split_zero_entry(closed):
+    # the same values, with the zero eigenvalue spread over two entries
+    entries = []
+    for value, mult in closed.entries:
+        entries += [(value, mult - mult // 2), (value, mult // 2)] if value == 0 else [(value, mult)]
+    return dataclasses.replace(closed, entries=tuple(entries))
+
+
+# (name in verification, stand-in built from the original, runner, its
+# arguments, the checks the stand-in must flag and no others)
+FAULTS = [
+    pytest.param("multipartite_spectrum_closed", lambda f: lambda spec: _drop_last_eigenvalue(f(spec)),
+                 es.verify_closed_forms, (5,), {"spectrum_size"}, id="spectrum_size"),
+    pytest.param("quotient_matrix", lambda f: lambda m, classes: (f(m, classes)[0], False),
+                 es.verify_closed_forms, (6,), {"quotient_equitable"}, id="quotient_equitable"),
+    pytest.param("ecc_via_complement",
+                 lambda f: lambda g: dataclasses.replace(f(g), matrix=f(g).matrix + 1),
+                 es.verify_lemma2, (8,), {"complement_identity"}, id="complement_identity"),
+    pytest.param("radius_upper_bound", lambda f: lambda n: f(n) - 1,
+                 es.verify_bounds_and_extremals, (6,), {"radius_bound", "radius_attained"},
+                 id="radius_bound"),
+    pytest.param("energy_bounds", lambda f: lambda n: (f(n)[0] + 1, f(n)[1]),
+                 es.verify_bounds_and_extremals, (6,), {"energy_bounds"}, id="energy_bounds"),
+    pytest.param("energy_bounds", lambda f: lambda n: (f(n)[0], f(n)[0]),
+                 es.verify_bounds_and_extremals, (6,),
+                 {"energy_bounds", "energy_upper_equality_unique", "energy_upper_attained"},
+                 id="energy_upper_equality_unique"),
+    pytest.param("enumerate_partitions", lambda f: lambda n, connected_only: f(n, connected_only)[1:],
+                 es.verify_bounds_and_extremals, (6,),
+                 {"radius_argmax", "radius_attained", "energy_argmax", "energy_upper_attained"},
+                 id="star_missing"),
+    pytest.param("enumerate_partitions",
+                 lambda f: lambda n, connected_only: f(n, connected_only)[:1] + f(n, connected_only),
+                 es.verify_bounds_and_extremals, (6,), {"radius_argmax_unique"}, id="star_twice"),
+    pytest.param("energy", lambda f: lambda spectrum: f(spectrum) + 1e-6,
+                 es.verify_bounds_and_extremals, (6,),
+                 {"energy_bounds", "energy_upper_attained", "one_large_class_energy"},
+                 id="one_large_class_energy"),
+    pytest.param("antipodal_class", lambda f: lambda g: None,
+                 es.verify_equienergetic, (3,), {"antipodal_structure"}, id="antipodal_structure"),
+    pytest.param("equienergetic_pair", lambda f: lambda n, i: (*f(n, i)[:2], f(n, i)[2] + 1),
+                 es.verify_equienergetic, (3,), {"product_energy", "predicted_energy"},
+                 id="predicted_energy"),
+    pytest.param("equienergetic_pair", lambda f: lambda n, i: (f(n, i)[0], f(n, i)[0], f(n, i)[2]),
+                 es.verify_equienergetic_pair, (3, 0), {"zero_absent"}, id="zero_absent"),
+]
+
+
+@pytest.mark.parametrize("name,standin,runner,args,checks", FAULTS)
+def test_every_recorded_check_fires(monkeypatch, name, standin, runner, args, checks):
+    assert runner(*args).passed
+    monkeypatch.setattr(verification, name, standin(getattr(verification, name)))
+    assert {v["check"] for v in runner(*args).violations} == checks
+
+
+def test_product_multiplicity_check_catches_a_split_zero_entry(monkeypatch, capsys):
+    # the values are untouched, so only the unmerged multiplicities differ
+    original = verification.antipodal_product_spectrum
+    monkeypatch.setattr(verification, "antipodal_product_spectrum",
+                        lambda *args: _split_zero_entry(original(*args)))
+    report = es.verify_equienergetic(3)
+    assert [(v["spec"], v["check"]) for v in report.violations] == [
+        ([2, 2, "x", 2], "multiplicities"), ([3, 3, "x", 2], "multiplicities")]
+    assert report.violations[0]["actual"] == [[4.0, 2], [0.0, 2], [0.0, 2], [-4.0, 2]]
+    assert cli_main(["verify", "--theorem", "6", "--nmax", "3"]) == 1
+    capsys.readouterr()
+
+
+def test_product_size_check_catches_a_dropped_eigenvalue(monkeypatch):
+    original = verification.antipodal_product_spectrum
+    monkeypatch.setattr(verification, "antipodal_product_spectrum",
+                        lambda *args: _drop_last_eigenvalue(original(*args)))
+    report = es.verify_equienergetic(3)
+    assert [(v["spec"], v["check"], v["expected"], v["actual"]) for v in report.violations] == [
+        ([2, 2, "x", 2], "spectrum_size", 8, 7), ([3, 3, "x", 2], "spectrum_size", 12, 11)]
+    assert report.cases == es.verify_equienergetic(3).cases
 
 
 def test_fault_injection_flips_the_report(monkeypatch):
