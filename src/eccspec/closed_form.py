@@ -195,8 +195,8 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
 def radius_upper_bound(n: int, allow_small: bool = False) -> float:
     """Largest possible eccentricity spectral radius over the multipartite
     family on n vertices: (n-2) + sqrt(n^2 - 3n + 3), attained by the star."""
-    if n < 4 and not allow_small:
-        raise PreconditionViolatedError(f"bound is stated for n >= 4, got {n}")
+    if n < 2 or (n < 4 and not allow_small):
+        raise PreconditionViolatedError(f"bound needs n >= {2 if allow_small else 4}, got {n}")
     return (n - 2) + math.sqrt(n * n - 3 * n + 3)
 
 
@@ -206,8 +206,8 @@ def energy_bounds(n: int, allow_small: bool = False) -> tuple[float, float]:
     The lower bound 2n-2 is the complete graph's energy; the upper bound is
     attained by the star.
     """
-    if n < 4 and not allow_small:
-        raise PreconditionViolatedError(f"bounds are stated for n >= 4, got {n}")
+    if n < 2 or (n < 4 and not allow_small):
+        raise PreconditionViolatedError(f"bounds need n >= {2 if allow_small else 4}, got {n}")
     return float(2 * n - 2), 2 * (n - 2) + 2 * math.sqrt(n * n - 3 * n + 3)
 
 

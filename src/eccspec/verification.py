@@ -32,6 +32,7 @@ from .eccentricity import ecc_via_complement, eccentricity_matrix
 from .errors import PreconditionViolatedError
 from .graphs import (
     MultipartiteSpec,
+    _check_order,
     all_pairs_distances,
     antipodal_class,
     build_multipartite,
@@ -358,37 +359,41 @@ def _sample_indices(count: int, cap: int) -> list[int]:
     return picked.tolist()
 
 
-def _check_product(report, n: int, product, predicted: int) -> tuple[float, int]:
-    # K_{n,n} (x) K_2 against the antipodal product spectrum with a = n and
-    # diameter 2 and against the predicted energy; returns the numeric energy
-    # and zero multiplicity.  The energy and zero checks read the numeric
-    # spectrum alone, so they run even when the closed form's size is wrong
+def _check_pair_order(report, n: int, product, partners, predicted: int, sweep=()):
+    # one order-4n stream: the product K_{n,n} (x) K_2 against the antipodal
+    # product spectrum (a = n, diameter 2) and, even when that spectrum's
+    # size is wrong, the predicted energy and the zero multiplicity; then the
+    # (spec, graph) partners, which share that energy but not the zero
+    # eigenvalue; then the sweep specs, whose energy is 4(order - p)
     label = [n, n, "x", 2]
-    ((_, _, _, spectrum),) = _numeric_spectra(report, [(label, product)])
-    _check_spectrum(report, label, antipodal_product_spectrum(2 * n, n, 2, 2), spectrum)
-    e_product = energy(spectrum)
-    zero_mult = int(np.sum(np.abs(np.array(spectrum.eigenvalues)) < ZERO_EIG_TOL))
-    if zero_mult != 2 * n:
-        _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
-    if abs(e_product - predicted) >= TOL_MATCH:
-        _violation(report, label, "product_energy", predicted, e_product)
-    return e_product, zero_mult
-
-
-def _check_partner(report, spec, partner, e_product: float, predicted: int) -> float:
-    # the partner must share the product's energy but not its zero eigenvalue
-    report.cases += 1
-    ((_, _, _, spectrum),) = _numeric_spectra(report, [(spec, partner)])
-    e_partner = energy(spectrum)
-    dev = abs(e_product - e_partner)
-    _record(report, dev)
-    if dev >= TOL_MATCH:
-        _violation(report, spec, "pair_energy", e_product, e_partner)
-    if abs(e_partner - predicted) >= TOL_MATCH:
-        _violation(report, spec, "predicted_energy", predicted, e_partner)
-    if np.min(np.abs(np.array(spectrum.eigenvalues))) < ZERO_EIG_TOL:
-        _violation(report, spec, "zero_absent", "no zero eigenvalue", "zero present")
-    return e_partner
+    stream = itertools.chain([(label, product)], partners, _multipartite(sweep))
+    e_partners = []
+    for k, (spec, _, _, spectrum) in enumerate(_numeric_spectra(report, stream)):
+        e = energy(spectrum)
+        if k == 0:
+            _check_spectrum(report, label, antipodal_product_spectrum(2 * n, n, 2, 2), spectrum)
+            e_product, zero_mult = e, int(np.sum(np.abs(np.array(spectrum.eigenvalues)) < ZERO_EIG_TOL))
+            if zero_mult != 2 * n:
+                _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
+            if abs(e_product - predicted) >= TOL_MATCH:
+                _violation(report, label, "product_energy", predicted, e_product)
+            continue
+        report.cases += 1
+        if k > len(partners):
+            expected = float(4 * (4 * n - spec.p))
+            _record(report, abs(e - expected))
+            if abs(e - expected) >= TOL_MATCH:
+                _violation(report, spec, "equal_order_equal_p_energy", expected, e)
+            continue
+        e_partners.append(e)
+        _record(report, abs(e_product - e))
+        if abs(e_product - e) >= TOL_MATCH:
+            _violation(report, spec, "pair_energy", e_product, e)
+        if abs(e - predicted) >= TOL_MATCH:
+            _violation(report, spec, "predicted_energy", predicted, e)
+        if np.min(np.abs(np.array(spectrum.eigenvalues))) < ZERO_EIG_TOL:
+            _violation(report, spec, "zero_absent", "no zero eigenvalue", "zero present")
+    return e_product, zero_mult, e_partners
 
 
 def verify_equienergetic_pair(n: int, i: int) -> VerificationReport:
@@ -397,8 +402,8 @@ def verify_equienergetic_pair(n: int, i: int) -> VerificationReport:
     product, partner, predicted = equienergetic_pair(n, i)
     spec = MultipartiteSpec((n + i, n, n, n - i))
     report = VerificationReport("equienergetic_pair", n)
-    e_product, zero_mult = _check_product(report, n, product, predicted)
-    e_partner = _check_partner(report, spec, partner, e_product, predicted)
+    e_product, zero_mult, (e_partner,) = _check_pair_order(
+        report, n, product, [(spec, partner)], predicted)
     report.witnesses.update(
         {
             "product_order": product.n,
@@ -426,6 +431,7 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
     """
     if n_max < 2:
         raise PreconditionViolatedError(f"pair construction needs n >= 2, got {n_max}")
+    _check_order(4 * n_max)
     report = VerificationReport("product_equienergetic", n_max)
     sampled_orders = {}
     for n in range(2, n_max + 1):
@@ -435,25 +441,13 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
         if a != n or d != 2:
             _violation(report, MultipartiteSpec((n, n)), "antipodal_structure", [n, 2], [a, d])
             continue
-        product, _, predicted = equienergetic_pair(n, 0)
-        e_product, _ = _check_product(report, n, product, predicted)
-        for i in range(0, n - 1):
-            partner_spec = MultipartiteSpec((n + i, n, n, n - i))
-            _check_partner(report, partner_spec, build_multipartite(partner_spec), e_product, predicted)
-
+        product, partner, predicted = equienergetic_pair(n, 0)
+        partner_specs = [MultipartiteSpec((n + i, n, n, n - i)) for i in range(n - 1)]
+        partners = [(partner_specs[0], partner), *_multipartite(partner_specs[1:])]
         # equal order + equal class count forces equal energy 4(order - p)
-        order = 4 * n
-        specs = list(_connected_partitions(order, smallest=2))
+        specs = list(_connected_partitions(4 * n, smallest=2))
         picked = _sample_indices(len(specs), GROUP_CHECK_CAP)
-        sampled_orders[str(order)] = {"available": len(specs), "checked": len(picked)}
-        sweep = _multipartite(specs[idx] for idx in picked)
-        for spec, _, _, spectrum in _numeric_spectra(report, sweep):
-            report.cases += 1
-            e = energy(spectrum)
-            expected = float(4 * (order - spec.p))
-            dev = abs(e - expected)
-            _record(report, dev)
-            if dev >= TOL_MATCH:
-                _violation(report, spec, "equal_order_equal_p_energy", expected, e)
+        sampled_orders[str(4 * n)] = {"available": len(specs), "checked": len(picked)}
+        _check_pair_order(report, n, product, partners, predicted, [specs[idx] for idx in picked])
     report.witnesses["equal_order_sweep"] = sampled_orders
     return report

@@ -1,10 +1,26 @@
 """Independent oracles for the tests: slow but obviously-correct routines
-that never touch the library's own code paths."""
+that never touch the library's own code paths, and the hypothesis
+strategies that more than one test module draws from."""
 
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
+
+
+@st.composite
+def adjacencies(draw, max_order, connected=False):
+    # a random upper triangle; connected graphs also get a random spanning
+    # tree, each vertex joined to an earlier one
+    n = draw(st.integers(2 if connected else 1, max_order))
+    upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu_indices(n, 1)] = upper
+    if connected:
+        for v in range(1, n):
+            adj[draw(st.integers(0, v - 1)), v] = True
+    return adj | adj.T
 
 
 def floyd_warshall_distances(adjacency) -> np.ndarray:

@@ -82,6 +82,13 @@ def test_bounds_small_order_is_an_input_error(capsys):
     assert code == 0 and "warning" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_bounds_below_two_vertices_is_an_input_error_even_when_allowed_small(capsys, n):
+    code, out, err = run(capsys, "bounds", "--n", n, "--allow-small")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_gen_round_trips_through_both_formats(capsys):
     code, out, _ = run(capsys, "gen", "--parts", "3,2,1")
     assert code == 0

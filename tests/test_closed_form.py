@@ -229,6 +229,14 @@ def test_bounds_reject_small_orders_unless_allowed():
     assert es.energy_bounds(2, allow_small=True)[0] == 2
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_bounds_reject_orders_below_two_even_when_allowed_small(n):
+    with pytest.raises(PreconditionViolatedError):
+        es.radius_upper_bound(n, allow_small=True)
+    with pytest.raises(PreconditionViolatedError):
+        es.energy_bounds(n, allow_small=True)
+
+
 # antipodal product spectra
 
 

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import eccspec as es
 from eccspec.errors import DisconnectedGraphError, PreconditionViolatedError
 from helpers import (
     UNREACHABLE,
+    adjacencies,
     eccentricity_by_definition,
     floyd_warshall_distances,
     random_adjacency,
@@ -130,6 +132,13 @@ def test_matrix_invariants_on_random_connected_graphs():
         nz = em.matrix != 0
         assert np.array_equal(em.matrix[nz], dm.matrix[nz])
         checked += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(adjacencies(12, connected=True))
+def test_matrix_matches_the_definition_on_random_connected_graphs(adj):
+    matrix = es.eccentricity_matrix(es.Graph(adj)).matrix
+    assert np.array_equal(matrix, eccentricity_by_definition(adj))
 
 
 def test_single_vertex_matrix_is_zero():

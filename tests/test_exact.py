@@ -97,6 +97,38 @@ def test_ordering_agrees_with_float_values(left, right, op):
     assert op(right, left) is op(float(right), float(left))
 
 
+COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def surds_over_one_radicand(draw):
+    # three surds in one field Q(sqrt(r)); a square r collapses them to Q
+    r = draw(st.integers(min_value=0, max_value=50))
+    return [Surd(draw(COEFFS), draw(COEFFS), r) for _ in range(3)]
+
+
+@given(surds_over_one_radicand())
+def test_field_laws_in_one_radicand(xyz):
+    x, y, z = xyz
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x - x == 0
+    assert (x * y).sign() == x.sign() * y.sign()
+
+
+@given(surds_over_one_radicand())
+def test_exact_order_agrees_with_well_separated_floats(xyz):
+    x, y, _ = xyz
+    fx, fy = float(x), float(y)
+    if x == y:
+        assert fx == fy
+    if abs(fx - fy) > 1e-9 * max(abs(fx), abs(fy)):
+        assert (x < y) is (fx < fy)
+        assert (x == y) is False
+
+
 def test_quadratic_roots_irrational():
     hi, lo = quadratic_roots(3, -2)
     assert hi == Surd(Fraction(3, 2), Fraction(1, 2), 17)

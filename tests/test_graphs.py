@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import eccspec as es
 from eccspec.errors import (
@@ -17,6 +16,7 @@ from eccspec.errors import (
 from eccspec.graphs import MAX_ORDER
 from helpers import (
     UNREACHABLE,
+    adjacencies,
     antipodal_fibre_size_loop,
     floyd_warshall_distances,
     random_adjacency,
@@ -30,20 +30,6 @@ def path_graph(n):
 
 def cycle_graph(n):
     return es.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-@st.composite
-def adjacencies(draw, max_order, connected=False):
-    # a random upper triangle; connected graphs also get a random spanning
-    # tree, each vertex joined to an earlier one
-    n = draw(st.integers(2 if connected else 1, max_order))
-    upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    adj = np.zeros((n, n), dtype=bool)
-    adj[np.triu_indices(n, 1)] = upper
-    if connected:
-        for v in range(1, n):
-            adj[draw(st.integers(0, v - 1)), v] = True
-    return adj | adj.T
 
 
 # generators

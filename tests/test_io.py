@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import eccspec as es
 from eccspec.errors import (
@@ -14,7 +15,7 @@ from eccspec.errors import (
     VertexOutOfRangeError,
 )
 from eccspec.graphs import MAX_ORDER
-from helpers import random_adjacency
+from helpers import adjacencies, random_adjacency
 
 
 # edge lists
@@ -98,6 +99,25 @@ def test_round_trip_long_order_form():
     encoded = es.emit_graph6(g)
     assert encoded.startswith("~")
     assert es.parse_graph6(encoded) == g
+
+
+def _complete_adjacency(n):
+    return ~np.eye(n, dtype=bool)
+
+
+# orders 1..70 cross graph6's "~" long-order form at 63; the examples pin
+# both sides of that boundary
+@settings(max_examples=50, deadline=None)
+@given(adjacencies(70))
+@example(_complete_adjacency(62))
+@example(_complete_adjacency(63))
+@example(np.zeros((64, 64), dtype=bool))
+def test_both_formats_round_trip_random_graphs(adj):
+    g = es.Graph(adj)
+    encoded = es.emit_graph6(g)
+    assert encoded.startswith("~") == (g.n >= 63)
+    assert es.parse_graph6(encoded) == g
+    assert es.parse_edge_list(es.emit_edge_list(g)) == g
 
 
 def test_invalid_bytes_are_rejected():

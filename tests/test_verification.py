@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import eccspec as es
 import eccspec.closed_form as closed_form
+import eccspec.graphs as graphs
 import eccspec.verification as verification
 from eccspec.cli import main as cli_main
-from eccspec.errors import PreconditionViolatedError
+from eccspec.errors import OrderTooLargeError, PreconditionViolatedError
 from helpers import char_poly_by_leibniz
 
 # standard partition counts p(1)..p(14)
@@ -280,8 +281,8 @@ def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
 
 def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
     # shifting every eigenvalue by +1 breaks the trace identity everywhere;
-    # the batched step solves stacks, and single product and partner graphs
-    # as stacks of one
+    # one pair order is one stream of stacks: the product, the partner and
+    # the sweep
     original = verification.symmetric_eigenvalues
     stacks = []
 
@@ -298,8 +299,39 @@ def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
     sweep = [list(s.parts) for s in es.enumerate_partitions(8, connected_only=True) if min(s.parts) >= 2]
     assert len(sweep) == 6
     assert all(parts in flagged for parts in sweep)
-    # product, partner, then the six sweep specs in one stack
-    assert stacks == [1, 1, 6]
+    # product, partner, then the six sweep specs in one stack of eight
+    assert stacks == [8]
+
+
+def _counting_solver(monkeypatch):
+    original = verification.symmetric_eigenvalues
+    stacks = []
+
+    def counting(matrices):
+        stacks.append(len(matrices))
+        return original(matrices)
+
+    monkeypatch.setattr(verification, "symmetric_eigenvalues", counting)
+    return stacks
+
+
+def test_single_pair_is_one_stack_of_two(monkeypatch):
+    stacks = _counting_solver(monkeypatch)
+    report = es.verify_equienergetic_pair(3, 1)
+    assert report.passed
+    assert stacks == [2]
+    assert list(report.witnesses) == ["product_order", "partner_parts", "predicted_energy",
+                                      "product_energy", "partner_energy",
+                                      "product_zero_multiplicity"]
+
+
+def test_oversized_nmax_is_rejected_before_any_solve(monkeypatch):
+    # order 4 * 4 = 16 exceeds the cap, so no smaller order is solved first
+    stacks = _counting_solver(monkeypatch)
+    monkeypatch.setattr(graphs, "MAX_ORDER", 12)
+    with pytest.raises(OrderTooLargeError):
+        es.verify_equienergetic(4)
+    assert stacks == []
 
 
 def test_oracle_findings_keep_the_enumeration_order(monkeypatch):
