@@ -11,16 +11,16 @@ The spectrum of K_{n1,...,np} comes from one of two routes:
   Structural eigenvalues -2 and -1 come from differences inside the large
   classes and inside the clique, and repeated large class sizes deflate
   exactly to 2(m - 1); the remaining eigenvalues are the simple roots of the
-  equitable quotient over (distinct large sizes..., clique), a monic integer
-  polynomial.  Degree 2 (one distinct large size) gives exact quadratic
-  surds; otherwise the roots are the eigenvalues of the symmetric arrowhead
-  similar to the quotient, with integer roots kept exact (the complete
-  graph's n - 1 among them) and the rest as floats.
+  equitable quotient over (distinct large sizes..., clique), whose monic
+  integer polynomial is quotient_poly.  Degree 2 (one distinct large size)
+  gives exact quadratic surds; otherwise the roots are the eigenvalues of
+  the symmetric arrowhead similar to the quotient, with integer roots kept
+  exact (the complete graph's n - 1 among them) and the rest as floats.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +41,18 @@ CASE_PRODUCT_THM5 = "PRODUCT_THM5"
 
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
-    """Eigenvalues with multiplicities, sorted descending, plus provenance.
+    """Eigenvalues with multiplicities, sorted descending, plus the route.
 
     Values are exact (int or Surd) wherever the construction allows; floats
     appear only for irrational roots of a quotient polynomial of degree >= 3,
     i.e. specs with singletons and at least two distinct large class sizes.
+    quotient_poly is that quotient's polynomial, leading coefficient first,
+    on the route for specs with a singleton, and None on the others.
     """
 
     entries: tuple[tuple[object, int], ...]
     case_tag: str
-    params: dict = field(default_factory=dict)
+    quotient_poly: tuple[int, ...] | None = None
 
     @property
     def total_multiplicity(self) -> int:
@@ -70,13 +72,13 @@ class ClosedFormSpectrum:
         """Sum of value*multiplicity; exact unless float entries are present."""
         if self._has_float():
             return float(sum(float(v) * m for v, m in self.entries))
-        return simplify_value(sum((Surd._coerce(v) * m for v, m in self.entries), Surd(0)))
+        return simplify_value(sum((v * m for v, m in self.entries), Surd(0)))
 
     def energy_exact(self):
         """Sum of |value|*multiplicity as an exact number, or None with floats."""
         if self._has_float():
             return None
-        return simplify_value(sum((abs(Surd._coerce(v)) * m for v, m in self.entries), Surd(0)))
+        return simplify_value(sum((abs(v) * m for v, m in self.entries), Surd(0)))
 
     def energy(self) -> float:
         exact = self.energy_exact()
@@ -103,37 +105,23 @@ def _sorted_entries(pairs) -> tuple[tuple[object, int], ...]:
     return tuple((v, m) for v, m in order)
 
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
-def _poly_sub(p: list[int], q: list[int]) -> list[int]:
-    width = max(len(p), len(q))
-    p = [0] * (width - len(p)) + p
-    q = [0] * (width - len(q)) + q
-    return [a - b for a, b in zip(p, q)]
+def _times_linear(p: list[int], d: int) -> list[int]:
+    # p(x) * (x - d), coefficients leading first
+    return [a - d * b for a, b in zip(p + [0], [0] + p)]
 
 
 def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> list[int]:
     # det(xI - Q) for the quotient over distinct large-class sizes plus the
     # clique of singletons: Q = diag(2(m-1)) bordered by a column of
-    # `singles`, a row of class totals, and corner singles-1.
-    diag = [2 * (m - 1) for m, _ in distinct_sizes]
-    totals = [m * count for m, count in distinct_sizes]
-    poly = [1, -(singles - 1)]
-    for d in diag:
-        poly = _poly_mul(poly, [1, -d])
-    for t, total in enumerate(totals):
-        term = [singles * total]
-        for u, d in enumerate(diag):
-            if u != t:
-                term = _poly_mul(term, [1, -d])
-        poly = _poly_sub(poly, term)
+    # `singles`, a row of class totals m*count, and corner singles-1.
+    # Expanded along the border one size at a time, with rest the product of
+    # the diagonal factors so far: a size m with count c takes poly to
+    # (x - 2(m-1))*poly - singles*m*c*rest and rest to (x - 2(m-1))*rest.
+    poly, rest = [1, -(singles - 1)], [1]
+    for m, count in distinct_sizes:
+        poly = _times_linear(poly, 2 * (m - 1))
+        poly[2:] = [a - singles * m * count * r for a, r in zip(poly[2:], rest)]
+        rest = _times_linear(rest, 2 * (m - 1))
     return poly
 
 
@@ -172,24 +160,20 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
         raise DisconnectedSpecError(
             f"{spec} has a single class and therefore no edges"
         )
-    n, p = spec.n, spec.p
-    params: dict = {"n": n, "p": p, "parts": spec.parts, "small_n": n < 4}
     large = [x for x in spec.parts if x >= 2]
-    singles = p - len(large)
+    singles = spec.p - len(large)
 
     if singles == 0:
         pairs = [(2 * (size - 1), count) for size, count in Counter(large).items()]
-        pairs.append((-2, n - p))
-        return ClosedFormSpectrum(_sorted_entries(pairs), CASE_ALL_PARTS_GE_2, params)
+        pairs.append((-2, spec.n - spec.p))
+        return ClosedFormSpectrum(_sorted_entries(pairs), CASE_ALL_PARTS_GE_2)
 
     counts = sorted(Counter(large).items(), reverse=True)
     poly = _arrow_char_poly(counts, singles)
-    params.update({"independent_size": sum(large), "clique_size": singles,
-                   "large_classes": len(large), "quotient_poly": tuple(poly)})
     pairs = [(-2, sum(large) - len(large)), (-1, singles - 1)]
     pairs.extend((2 * (size - 1), count - 1) for size, count in counts)
     pairs.extend((root, 1) for root in _quotient_roots(counts, singles, poly))
-    return ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, params)
+    return ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, tuple(poly))
 
 
 def radius_upper_bound(n: int, allow_small: bool = False) -> float:
@@ -229,8 +213,7 @@ def antipodal_product_spectrum(m: int, a: int, d: int, n_h: int) -> ClosedFormSp
             (-d * n_h, (m // a) * (a - 1)),
         ]
     )
-    params = {"m": m, "a": a, "d": d, "n_h": n_h}
-    return ClosedFormSpectrum(entries, CASE_PRODUCT_THM5, params)
+    return ClosedFormSpectrum(entries, CASE_PRODUCT_THM5)
 
 
 def equienergetic_pair(n: int, i: int) -> tuple[Graph, Graph, int]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import (
-    _poly_mul,
+    _times_linear,
     antipodal_product_spectrum,
     energy_bounds,
     equienergetic_pair,
@@ -60,6 +60,7 @@ GROUP_CHECK_CAP = 400     # numeric energy checks per graph order in the
 _CHUNK = 16               # matrices per stacked eigensolve: larger stacks
                           # save little more call overhead and raise peak
                           # memory
+_SWEEP_CAP = 100_000      # partitions one sweep order may enumerate
 
 
 @dataclass
@@ -120,6 +121,18 @@ def _connected_partitions(n: int, smallest: int = 1):
             prefix.pop()
 
     return rec(n, n - 1, [])
+
+
+def _check_sweep_size(n: int, smallest: int = 1) -> None:
+    # order n has p(n) - 1 partitions into two or more parts, p(n) - p(n-1) - 1
+    # of them with all parts >= 2; neither count falls as n grows, so Euler's
+    # pentagonal recurrence for p stops at the first order past the cap
+    p = [1, 1]
+    for k in range(2, n + 1):
+        p.append(sum((-1) ** (j + 1) * p[k - g] for j in range(1, k + 1)
+                     for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= k))
+        if p[k] - 1 - (smallest - 1) * p[k - 1] > _SWEEP_CAP:
+            raise PreconditionViolatedError(f"order {n} has over {_SWEEP_CAP} partitions to sweep")
 
 
 def _multipartite(specs):
@@ -185,9 +198,10 @@ def _char_poly(a) -> list[int]:
     return coeffs
 
 
-def _sweep_report(theorem: str, n: int) -> VerificationReport:
+def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport:
     if n < 4:
         raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
+    _check_sweep_size(n, smallest)
     return VerificationReport(theorem, n)
 
 
@@ -230,7 +244,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
     Also checks the doubled-complement identity on specs whose classes all
     have size >= 2.  On mixed specs the quotient over the large classes and
     the clique must be equitable, and its characteristic polynomial must
-    equal params["quotient_poly"] times (x - 2(m - 1)) for each large class
+    equal its quotient_poly times (x - 2(m - 1)) for each large class
     that repeats an earlier size m: an integer identity, with no tolerance.
     """
     report = _sweep_report("multipartite_closed_spectra", n)
@@ -251,10 +265,10 @@ def verify_closed_forms(n: int) -> VerificationReport:
             if not equitable:
                 _violation(report, spec, "quotient_equitable", True, False)
                 continue
-            expected = list(closed.params["quotient_poly"])
+            expected = list(closed.quotient_poly)
             for prev, size in zip(large, large[1:]):
                 if size == prev:
-                    expected = _poly_mul(expected, [1, -2 * (size - 1)])
+                    expected = _times_linear(expected, 2 * (size - 1))
             actual = _char_poly(q.astype(np.int64))
             if actual != expected:
                 _violation(report, spec, "quotient_char_poly", expected, actual)
@@ -265,7 +279,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
 def verify_lemma2(n: int) -> VerificationReport:
     """Entrywise identity ecc matrix == 2*A(complement) for every spec of n
     whose classes all have size >= 2."""
-    report = _sweep_report("complement_identity", n)
+    report = _sweep_report("complement_identity", n, smallest=2)
     for spec in _connected_partitions(n, smallest=2):
         report.cases += 1
         g = build_multipartite(spec)
@@ -314,7 +328,7 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
         _violation(report, radius_argmax, "radius_argmax", list(star.parts), list(radius_argmax.parts))
     if abs(best_radius - ub_radius) > TOL_RADIUS:
         _violation(report, radius_argmax, "radius_attained", ub_radius, best_radius)
-    if len(radii) > 1 and radii[1][0] > best_radius - UNIQUENESS_MARGIN:
+    if radii[1][0] > best_radius - UNIQUENESS_MARGIN:
         _violation(report, radii[1][1], "radius_argmax_unique", "strictly smaller runner-up", radii[1][0])
 
     min_energy, energy_argmin = energies[0]
@@ -330,7 +344,6 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
     if abs(cs2_energy - cs2_expected) > TOL_ENERGY:
         _violation(report, cs2, "one_large_class_energy", cs2_expected, cs2_energy)
 
-    runner_up = energies[1][0] if len(energies) > 1 else None
     report.witnesses.update(
         {
             "radius_argmax": {"parts": list(radius_argmax.parts), "value": best_radius},
@@ -338,7 +351,7 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
             "energy_argmin": {
                 "parts": list(energy_argmin.parts),
                 "value": min_energy,
-                "unique": runner_up is None or runner_up > min_energy + UNIQUENESS_MARGIN,
+                "unique": energies[1][0] > min_energy + UNIQUENESS_MARGIN,
             },
             "one_large_class_spec": {
                 "parts": list(cs2.parts),
@@ -432,6 +445,7 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
     if n_max < 2:
         raise PreconditionViolatedError(f"pair construction needs n >= 2, got {n_max}")
     _check_order(4 * n_max)
+    _check_sweep_size(4 * n_max, smallest=2)
     report = VerificationReport("product_equienergetic", n_max)
     sampled_orders = {}
     for n in range(2, n_max + 1):

@@ -9,6 +9,7 @@ import pytest
 import eccspec as es
 import eccspec.cli as cli
 import eccspec.closed_form as closed_form
+import eccspec.verification as verification
 from eccspec.cli import format_number, main
 from eccspec.graphs import MAX_ORDER
 
@@ -182,6 +183,35 @@ def test_verify_pair_sweep_rejects_a_single_order(capsys, theorem):
     code, out, err = run(capsys, "verify", "--theorem", theorem, "--n", "4")
     assert code == 2 and out == ""
     assert err == f"error: theorem {theorem} sweeps the pair orders 2..N: use --nmax N, not --n\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "1", "--n", "200"],
+    ["--theorem", "2", "--n", "4000"],
+    ["--theorem", "lemma2", "--n", "4000"],
+    ["--theorem", "1", "--nmax", "100"],
+    ["--theorem", "3", "--nmax", "1000000000"],
+    ["--theorem", "6", "--nmax", "30"],
+])
+def test_oversized_sweeps_are_input_errors_before_any_partition(capsys, monkeypatch, argv):
+    # a sweep checks its largest order before order 4 is swept
+    def refuse(n, smallest=1):
+        raise AssertionError("a partition was enumerated")
+
+    monkeypatch.setattr(verification, "_connected_partitions", refuse)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lemma2_sweep_cap_counts_parts_of_at_least_two(capsys, monkeypatch):
+    # 12 has 20 partitions into at least two parts >= 2, and 76 into two or more
+    monkeypatch.setattr(verification, "_SWEEP_CAP", 20)
+    code, out, _ = run(capsys, "verify", "--theorem", "lemma2", "--nmax", "12", "--format", "text")
+    assert code == 0 and out.count("\n") == 9
+    code, out, err = run(capsys, "verify", "--theorem", "1", "--nmax", "12", "--format", "text")
+    assert code == 2 and out == ""
+    assert err == "error: order 12 has over 20 partitions to sweep\n"
 
 
 def test_verify_fails_with_exit_one_under_fault_injection(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from eccspec.errors import (
     PreconditionViolatedError,
 )
 from eccspec.exact import Surd
+from helpers import char_poly_by_leibniz, eccentricity_by_definition
 
 
 def numeric_spectrum(parts):
@@ -31,7 +32,7 @@ def test_complete_graph_case():
     closed = es.multipartite_spectrum_closed([1, 1, 1, 1])
     assert closed.case_tag == closed_form.CASE_SPLIT_MIXED
     assert closed.entries == ((3, 1), (-1, 3))
-    assert closed.params["quotient_poly"] == (1, -3)
+    assert closed.quotient_poly == (1, -3)
 
 
 def test_all_large_case_doubles_the_complement_spectrum():
@@ -48,14 +49,14 @@ def test_split_case_keeps_exact_roots():
     closed = es.multipartite_spectrum_closed([3, 1])
     assert closed.case_tag == closed_form.CASE_SPLIT_MIXED
     assert closed.entries == ((Surd(2, 1, 7), 1), (Surd(2, -1, 7), 1), (-2, 2))
-    assert closed.params["quotient_poly"] == (1, -4, -3)
+    assert closed.quotient_poly == (1, -4, -3)
 
 
 def test_mixed_case_with_two_large_classes():
     # the repeated size 2 deflates to the eigenvalue 2, leaving a quadratic
     # quotient x^2 - 2x - 4 whose roots 1 +- sqrt(5) stay exact
     closed = es.multipartite_spectrum_closed([2, 2, 1])
-    assert closed.params["quotient_poly"] == (1, -2, -4)
+    assert closed.quotient_poly == (1, -2, -4)
     assert closed.entries == ((Surd(1, 1, 5), 1), (2, 1), (Surd(1, -1, 5), 1), (-2, 2))
     assert closed.energy_exact() == Surd(6, 2, 5)
     assert np.allclose(closed.eigenvalues(), numeric_spectrum([2, 2, 1]), atol=1e-9)
@@ -82,7 +83,7 @@ def test_integer_quotient_roots_stay_exact():
     # quotient polynomial x^3 - 11x^2 + 14x + 80 = (x - 8)(x - 5)(x + 2): its
     # -2 root joins the structural -2 eigenvalues as one exact entry
     closed = es.multipartite_spectrum_closed([4, 3, 3, 1, 1])
-    assert closed.params["quotient_poly"] == (1, -11, 14, 80)
+    assert closed.quotient_poly == (1, -11, 14, 80)
     for entry in [(8, 1), (5, 1), (-2, 8)]:
         assert entry in closed.entries
     assert all(type(value) is int for value, _ in closed.entries)
@@ -98,6 +99,41 @@ def test_twenty_distinct_class_sizes_match_the_eigensolver():
     assert [mult for _, mult in closed.entries] == [mult for _, mult in numeric.groups]
     for (value, _), (expected, _) in zip(closed.entries, numeric.groups):
         assert abs(float(value) - expected) <= 1e-9
+
+
+def test_two_hundred_distinct_class_sizes():
+    closed = es.multipartite_spectrum_closed(range(200, 0, -1))
+    assert closed.total_multiplicity == 20100
+    assert f"{closed.energy():.12g}" == "79735.9197839"
+
+
+@st.composite
+def border_quotients(draw):
+    # up to four distinct large sizes, each repeated at most twice, and at
+    # least one singleton
+    sizes = draw(st.lists(st.integers(2, 6), max_size=4, unique=True))
+    counts = sorted(((m, draw(st.integers(1, 2))) for m in sizes), reverse=True)
+    return counts, draw(st.integers(1, 3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(border_quotients())
+def test_border_recurrence_matches_the_leibniz_oracle(quotient):
+    # the quotient from its definition: one vertex of each cell (a distinct
+    # large size, then the clique) summed over every cell of the eccentricity
+    # matrix; cells are laid out largest class first, as the graph is
+    counts, singles = quotient
+    parts = [m for m, c in counts for _ in range(c)] + [1] * singles
+    ecc = eccentricity_by_definition(es.build_multipartite(parts).adjacency)
+    bounds = np.cumsum([0] + [m * c for m, c in counts] + [singles])
+    q = [[int(ecc[row, lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
+         for row in bounds[:-1]]
+    assert closed_form._arrow_char_poly(counts, singles) == char_poly_by_leibniz(q)
+
+
+def test_quotient_poly_is_carried_only_on_the_singleton_route():
+    assert es.multipartite_spectrum_closed([3, 2]).quotient_poly is None
+    assert es.antipodal_product_spectrum(4, 2, 2, 2).quotient_poly is None
 
 
 @pytest.mark.parametrize("top", [22, 25])
@@ -144,8 +180,6 @@ def test_rejections_and_flags():
         es.multipartite_spectrum_closed([5])
     with pytest.raises(InvalidSpecError):
         es.multipartite_spectrum_closed([])
-    assert es.multipartite_spectrum_closed([2, 1]).params["small_n"]
-    assert not es.multipartite_spectrum_closed([3, 1]).params["small_n"]
 
 
 def test_trace_vanishes_exactly():
@@ -198,7 +232,7 @@ def test_star_energy_attains_the_upper_bound():
 def test_root_sum_shortcut_agrees_when_constant_term_is_positive():
     # independent set of 5 joined to a clique of 5: both roots positive
     closed = es.multipartite_spectrum_closed([5] + [1] * 5)
-    _, minus_b, c = closed.params["quotient_poly"]
+    _, minus_b, c = closed.quotient_poly
     b = -minus_b
     assert c > 0
     hi, lo = closed.entries[0][0], closed.entries[1][0]

@@ -37,6 +37,19 @@ def test_enumerate_partitions_counts_match_the_table():
         assert len(es.enumerate_partitions(n)) == expected
 
 
+@pytest.mark.parametrize("smallest", [1, 2])
+def test_sweep_cap_counts_match_the_table(monkeypatch, smallest):
+    # n has p(n) - 1 partitions into two or more parts, and p(n) - p(n - 1) - 1
+    # of those have every part >= 2; an order at the cap passes, one above fails
+    for n in range(2, len(PARTITION_COUNTS) + 1):
+        count = PARTITION_COUNTS[n - 1] - 1 - (smallest - 1) * PARTITION_COUNTS[n - 2]
+        monkeypatch.setattr(verification, "_SWEEP_CAP", count)
+        verification._check_sweep_size(n, smallest)
+        monkeypatch.setattr(verification, "_SWEEP_CAP", count - 1)
+        with pytest.raises(PreconditionViolatedError):
+            verification._check_sweep_size(n, smallest)
+
+
 def test_enumerate_partitions_unique_and_sorted():
     specs = es.enumerate_partitions(10)
     assert len(set(specs)) == len(specs) == 42
@@ -260,10 +273,10 @@ def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
 
     def tampered(spec):
         closed = original(spec)
-        if "quotient_poly" in closed.params:
-            *head, last = closed.params["quotient_poly"]
-            closed.params["quotient_poly"] = (*head, last + 1)
-        return closed
+        if closed.quotient_poly is None:
+            return closed
+        *head, last = closed.quotient_poly
+        return dataclasses.replace(closed, quotient_poly=(*head, last + 1))
 
     monkeypatch.setattr(verification, "multipartite_spectrum_closed", tampered)
     report = es.verify_closed_forms(6)
@@ -332,6 +345,34 @@ def test_oversized_nmax_is_rejected_before_any_solve(monkeypatch):
     with pytest.raises(OrderTooLargeError):
         es.verify_equienergetic(4)
     assert stacks == []
+
+
+# runner, order, and how many partitions its largest sweep order enumerates:
+# 21 of 8, and 20 of 12 into at least two parts >= 2 (lemma 2, and theorem 6
+# at pair order 3)
+SWEEPS = [
+    (es.verify_closed_forms, 8, 21),
+    (es.verify_bounds_and_extremals, 8, 21),
+    (es.verify_lemma2, 12, 20),
+    (es.verify_equienergetic, 3, 20),
+]
+
+
+@pytest.mark.parametrize("runner,n,count", SWEEPS)
+def test_a_sweep_past_the_cap_is_rejected_before_any_partition(monkeypatch, runner, n, count):
+    def refuse(n, smallest=1):
+        raise AssertionError("a partition was enumerated")
+
+    monkeypatch.setattr(verification, "_SWEEP_CAP", count - 1)
+    monkeypatch.setattr(verification, "_connected_partitions", refuse)
+    with pytest.raises(PreconditionViolatedError, match=f"over {count - 1} partitions"):
+        runner(n)
+
+
+@pytest.mark.parametrize("runner,n,count", SWEEPS)
+def test_a_sweep_at_the_cap_runs(monkeypatch, runner, n, count):
+    monkeypatch.setattr(verification, "_SWEEP_CAP", count)
+    assert runner(n).passed
 
 
 def test_oracle_findings_keep_the_enumeration_order(monkeypatch):
