@@ -174,32 +174,52 @@ class DistanceMatrix:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS distances between all pairs, one level at a time from every source.
+    """Distances between all pairs by Seidel's algorithm (JCSS 1995).
 
-    Row s of the frontier holds the vertices first reached from s at the
-    current level; one float32 matrix product expands every frontier at
-    once.  Each product entry counts frontier neighbours, at most n, which
-    float32 holds exactly (unlike the wrapping counts of a uint8 product).
+    Up: level k + 1 joins the vertices at distance at most 2 in level k,
+    one squaring each, until a level is complete: ceil(log2(d)) products
+    for diameter d.  Down: the top stored level squares to the complete
+    graph, so its distances are 1 on its edges and 2 off them, with no
+    product.  Each lower level A takes D to 2D minus the indicator of
+    (D A)_uv < D_uv deg(v), one product each.  That is 2 ceil(log2(d)) - 1
+    products in all, one for a diameter-2 graph, against d - 1 for a
+    breadth-first search.  Levels are kept as bool; products run in float32.
 
     Raises DisconnectedGraphError when some pair is unreachable, since the
     eccentricity (and everything downstream of it) is undefined there.
     """
-    adj = g.adjacency.astype(np.float32)
-    dist = g.adjacency.astype(np.int64)
-    unseen = ~g.adjacency
-    np.fill_diagonal(unseen, False)
-    frontier = adj
-    d = 1
-    while unseen.any():
-        newly = (frontier @ adj > 0) & unseen
-        if not newly.any():
+    # Every product entry is a sum of at most n - 1 non-negative integers,
+    # each at most n - 1, so at most (MAX_ORDER - 1)^2 < 2^24: float32 holds
+    # it, and D_uv deg(v), exactly.
+    all_edges = g.n * (g.n - 1)
+    levels = [g.adjacency]
+    edges = int(np.count_nonzero(g.adjacency))
+    while edges < all_edges:
+        reach = levels[-1].astype(np.float32)
+        up = (reach @ reach > 0) | levels[-1]
+        del reach
+        np.fill_diagonal(up, False)
+        grown = int(np.count_nonzero(up))
+        # squaring only adds edges, so a level that stops growing short of
+        # the complete graph has a pair no path joins
+        if grown == edges:
             raise DisconnectedGraphError(
                 "graph is disconnected; eccentricities are undefined"
             )
-        d += 1
-        dist[newly] = d
-        unseen &= ~newly
-        frontier = newly.astype(np.float32)
+        levels.append(up)
+        edges = grown
+    # the complete level has distance 1 between every pair; each level below
+    # doubles the distances and takes 1 off those its parity test finds odd
+    dist = levels.pop().astype(np.float32)
+    if levels:
+        dist = 2 * dist - levels.pop()
+    for level in reversed(levels):
+        adj = level.astype(np.float32)
+        odd = dist @ adj < dist * adj.sum(axis=0)
+        del adj
+        dist *= 2
+        dist -= odd
+    dist = dist.astype(np.int64)
     dist.setflags(write=False)
     ecc = dist.max(axis=1)
     ecc.setflags(write=False)

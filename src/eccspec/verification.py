@@ -123,16 +123,21 @@ def _connected_partitions(n: int, smallest: int = 1):
     return rec(n, n - 1, [])
 
 
-def _check_sweep_size(n: int, smallest: int = 1) -> None:
-    # order n has p(n) - 1 partitions into two or more parts, p(n) - p(n-1) - 1
-    # of them with all parts >= 2; neither count falls as n grows, so Euler's
-    # pentagonal recurrence for p stops at the first order past the cap
+def _sweep_sizes(n: int, smallest: int = 1):
+    # for k = 2..n, how many partitions of k have two or more parts, each
+    # >= smallest (1 or 2): p(k) - 1, or p(k) - p(k-1) - 1 with no part 1,
+    # by Euler's pentagonal recurrence for p; neither count falls as k grows
     p = [1, 1]
     for k in range(2, n + 1):
         p.append(sum((-1) ** (j + 1) * p[k - g] for j in range(1, k + 1)
                      for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= k))
-        if p[k] - 1 - (smallest - 1) * p[k - 1] > _SWEEP_CAP:
-            raise PreconditionViolatedError(f"order {n} has over {_SWEEP_CAP} partitions to sweep")
+        yield p[k] - 1 - (smallest - 1) * p[k - 1]
+
+
+def _check_sweep_size(n: int, smallest: int = 1) -> None:
+    # the counts never fall, so this stops at the first order past the cap
+    if any(size > _SWEEP_CAP for size in _sweep_sizes(n, smallest)):
+        raise PreconditionViolatedError(f"order {n} has over {_SWEEP_CAP} partitions to sweep")
 
 
 def _multipartite(specs):
@@ -248,7 +253,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
     that repeats an earlier size m: an integer identity, with no tolerance.
     """
     report = _sweep_report("multipartite_closed_spectra", n)
-    specs = enumerate_partitions(n, connected_only=True)
+    specs = _connected_partitions(n)
     for spec, g, matrix, numeric in _numeric_spectra(report, _multipartite(specs)):
         report.cases += 1
         closed = multipartite_spectrum_closed(spec)
@@ -307,7 +312,7 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
 
     radii: list[tuple[float, MultipartiteSpec]] = []
     energies: list[tuple[float, MultipartiteSpec]] = []
-    specs = enumerate_partitions(n, connected_only=True)
+    specs = _connected_partitions(n)
     for spec, _, _, spectrum in _numeric_spectra(report, _multipartite(specs)):
         report.cases += 1
         radius = spectral_radius(spectrum)
@@ -446,6 +451,7 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
         raise PreconditionViolatedError(f"pair construction needs n >= 2, got {n_max}")
     _check_order(4 * n_max)
     _check_sweep_size(4 * n_max, smallest=2)
+    sweep_sizes = dict(enumerate(_sweep_sizes(4 * n_max, smallest=2), start=2))
     report = VerificationReport("product_equienergetic", n_max)
     sampled_orders = {}
     for n in range(2, n_max + 1):
@@ -459,9 +465,11 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
         partner_specs = [MultipartiteSpec((n + i, n, n, n - i)) for i in range(n - 1)]
         partners = [(partner_specs[0], partner), *_multipartite(partner_specs[1:])]
         # equal order + equal class count forces equal energy 4(order - p)
-        specs = list(_connected_partitions(4 * n, smallest=2))
-        picked = _sample_indices(len(specs), GROUP_CHECK_CAP)
-        sampled_orders[str(4 * n)] = {"available": len(specs), "checked": len(picked)}
-        _check_pair_order(report, n, product, partners, predicted, [specs[idx] for idx in picked])
+        available = sweep_sizes[4 * n]
+        picked = set(_sample_indices(available, GROUP_CHECK_CAP))
+        sampled_orders[str(4 * n)] = {"available": available, "checked": len(picked)}
+        specs = _connected_partitions(4 * n, smallest=2)
+        sweep = (spec for idx, spec in enumerate(specs) if idx in picked)
+        _check_pair_order(report, n, product, partners, predicted, sweep)
     report.witnesses["equal_order_sweep"] = sampled_orders
     return report

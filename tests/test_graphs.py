@@ -233,6 +233,52 @@ def test_disconnected_graph_is_rejected():
         es.all_pairs_distances(es.build_multipartite([4]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(adjacencies(16))
+def test_distances_match_floyd_warshall_on_any_graph(adj):
+    oracle = floyd_warshall_distances(adj)
+    if oracle.max() >= UNREACHABLE:
+        with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+            es.all_pairs_distances(es.Graph(adj))
+        return
+    dm = es.all_pairs_distances(es.Graph(adj))
+    assert dm.matrix.dtype == np.int64
+    assert np.array_equal(dm.matrix, oracle)
+    assert dm.eccentricities.tolist() == oracle.max(axis=1).tolist()
+    assert dm.diameter == oracle.max()
+
+
+def test_long_paths_and_cycles_by_their_closed_distances():
+    n = 300
+    offset = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    path = es.all_pairs_distances(path_graph(n))
+    assert np.array_equal(path.matrix, offset)
+    assert path.diameter == n - 1
+    cycle = es.all_pairs_distances(cycle_graph(n))
+    assert np.array_equal(cycle.matrix, np.minimum(offset, n - offset))
+    assert cycle.diameter == n // 2
+
+
+def test_single_vertex_has_distance_zero():
+    dm = es.all_pairs_distances(es.complete(1))
+    assert dm.matrix.tolist() == [[0]]
+    assert dm.eccentricities.tolist() == [0] and dm.diameter == 0
+
+
+def test_path_with_an_isolated_vertex_is_rejected():
+    g = es.Graph.from_edges(6, [(i, i + 1) for i in range(4)])
+    with pytest.raises(DisconnectedGraphError):
+        es.all_pairs_distances(g)
+
+
+def test_float32_products_stay_exact_up_to_the_order_bound():
+    # every distance product entry is at most (n - 1)^2, and float32 holds
+    # every integer up to 2^24 but not 2^24 + 1: a MAX_ORDER above 4096 fails
+    # here until the distance products move to a wider type
+    assert (MAX_ORDER - 1) ** 2 < 2 ** 24
+    assert float(np.float32(2 ** 24 + 1)) != 2 ** 24 + 1
+
+
 # antipodal structure
 
 

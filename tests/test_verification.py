@@ -1,6 +1,7 @@
 """Partition enumeration and the verification harness."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -136,6 +137,25 @@ def test_equienergetic_sweep_samples_orders_beyond_the_cap():
     assert sweep["28"] == {"available": 707, "checked": 400}
 
 
+def test_sampled_sweep_is_the_evenly_spaced_picks_of_the_listed_order(monkeypatch):
+    # the sweep is sampled from the count while the specs stream, so it must
+    # keep exactly the specs that indexing the whole list would pick
+    built = []
+    original = verification.build_multipartite
+
+    def recording(parts):
+        built.append(parts)
+        return original(parts)
+
+    monkeypatch.setattr(verification, "build_multipartite", recording)
+    assert es.verify_equienergetic(7).passed
+    # order 28: the partners K_{7+i,7,7,7-i} for i = 1..5, then the sweep
+    order28 = [s for s in built if isinstance(s, es.MultipartiteSpec) and s.n == 28]
+    listed = list(verification._connected_partitions(28, smallest=2))
+    picks = np.unique(np.linspace(0, len(listed) - 1, 400).round().astype(int))
+    assert order28[5:] == [listed[i] for i in picks]
+
+
 def _drop_last_eigenvalue(closed):
     value, mult = closed.entries[-1]
     tail = ((value, mult - 1),) if mult > 1 else ()
@@ -169,12 +189,14 @@ FAULTS = [
                  es.verify_bounds_and_extremals, (6,),
                  {"energy_bounds", "energy_upper_equality_unique", "energy_upper_attained"},
                  id="energy_upper_equality_unique"),
-    pytest.param("enumerate_partitions", lambda f: lambda n, connected_only: f(n, connected_only)[1:],
+    pytest.param("_connected_partitions",
+                 lambda f: lambda n, smallest=1: itertools.islice(f(n, smallest), 1, None),
                  es.verify_bounds_and_extremals, (6,),
                  {"radius_argmax", "radius_attained", "energy_argmax", "energy_upper_attained"},
                  id="star_missing"),
-    pytest.param("enumerate_partitions",
-                 lambda f: lambda n, connected_only: f(n, connected_only)[:1] + f(n, connected_only),
+    pytest.param("_connected_partitions",
+                 lambda f: lambda n, smallest=1: itertools.chain(itertools.islice(f(n, smallest), 1),
+                                                                 f(n, smallest)),
                  es.verify_bounds_and_extremals, (6,), {"radius_argmax_unique"}, id="star_twice"),
     pytest.param("energy", lambda f: lambda spectrum: f(spectrum) + 1e-6,
                  es.verify_bounds_and_extremals, (6,),
