@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DisconnectedSpecError,
     NotDivisibleError,
+    OrderTooLargeError,
     PreconditionViolatedError,
 )
 from .exact import Surd, quadratic_roots, simplify_value
@@ -37,6 +38,11 @@ from .graphs import Graph, as_spec, build_multipartite, complete, strong_product
 CASE_ALL_PARTS_GE_2 = "ALL_PARTS_GE_2"
 CASE_SPLIT_MIXED = "SPLIT_MIXED"
 CASE_PRODUCT_THM5 = "PRODUCT_THM5"
+
+# largest order multipartite_spectrum_closed accepts: the exact surd
+# arithmetic trial-divides radicands that grow like n^2, and the quotient
+# polynomial of k distinct class sizes costs O(k^2) big-integer steps
+MAX_CLOSED_ORDER = 2**20
 
 
 @dataclass(frozen=True)
@@ -153,12 +159,17 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
     """Exact eccentricity spectrum of the complete multipartite graph.
 
     Part lists with a single class are rejected: they describe an edgeless
-    graph with no finite eccentricities.
+    graph with no finite eccentricities.  So are orders above
+    MAX_CLOSED_ORDER, before any arithmetic.
     """
     spec = as_spec(parts)
     if spec.p == 1:
         raise DisconnectedSpecError(
             f"{spec} has a single class and therefore no edges"
+        )
+    if spec.n > MAX_CLOSED_ORDER:
+        raise OrderTooLargeError(
+            f"order {spec.n} exceeds the closed form's maximum of {MAX_CLOSED_ORDER} vertices"
         )
     large = [x for x in spec.parts if x >= 2]
     singles = spec.p - len(large)
@@ -178,21 +189,28 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
 
 def radius_upper_bound(n: int, allow_small: bool = False) -> float:
     """Largest possible eccentricity spectral radius over the multipartite
-    family on n vertices: (n-2) + sqrt(n^2 - 3n + 3), attained by the star."""
+    family on n vertices: (n-2) + sqrt(n^2 - 3n + 3), attained by the star.
+
+    An n whose n^2 - 3n + 3 overflows a float is rejected.
+    """
     if n < 2 or (n < 4 and not allow_small):
         raise PreconditionViolatedError(f"bound needs n >= {2 if allow_small else 4}, got {n}")
-    return (n - 2) + math.sqrt(n * n - 3 * n + 3)
+    try:
+        return (n - 2) + math.sqrt(n * n - 3 * n + 3)
+    except OverflowError as exc:
+        raise PreconditionViolatedError(
+            f"bound overflows a float for an n of {n.bit_length()} bits"
+        ) from exc
 
 
 def energy_bounds(n: int, allow_small: bool = False) -> tuple[float, float]:
     """(lower, upper) bounds for the eccentricity energy on n vertices.
 
     The lower bound 2n-2 is the complete graph's energy; the upper bound is
-    attained by the star.
+    the star's, twice its one positive eigenvalue, radius_upper_bound(n).
     """
-    if n < 2 or (n < 4 and not allow_small):
-        raise PreconditionViolatedError(f"bounds need n >= {2 if allow_small else 4}, got {n}")
-    return float(2 * n - 2), 2 * (n - 2) + 2 * math.sqrt(n * n - 3 * n + 3)
+    upper = 2 * radius_upper_bound(n, allow_small)
+    return float(2 * n - 2), upper
 
 
 def antipodal_product_spectrum(m: int, a: int, d: int, n_h: int) -> ClosedFormSpectrum:

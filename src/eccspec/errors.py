@@ -14,7 +14,8 @@ class PreconditionViolatedError(EccspecError):
 
 
 class OrderTooLargeError(EccspecError):
-    """A graph would have more than graphs.MAX_ORDER vertices."""
+    """An order exceeds a bound: graphs.MAX_ORDER vertices for a graph, or
+    closed_form.MAX_CLOSED_ORDER for a closed-form spectrum."""
 
 
 class InvalidSpecError(EccspecError):

@@ -7,9 +7,9 @@ Every numeric spectrum comes from one step, `_numeric_spectra`, which solves
 the equal-order matrices of a sweep in stacks of at most `_CHUNK` and checks
 each spectrum against the trace (zero) and Frobenius (squared norm)
 identities before handing it on, so findings keep the enumeration order.
-The equitable quotient of a mixed spec is checked exactly: its integer
-characteristic polynomial must equal the closed form's quotient polynomial
-times the deflated factors.
+The equitable quotient of every spec with a singleton class, the complete
+graph included, is checked exactly: its integer characteristic polynomial
+must equal the closed form's quotient polynomial times the deflated factors.
 Findings land in a VerificationReport; a report passes exactly when its
 violations list is empty.
 """
@@ -247,10 +247,11 @@ def verify_closed_forms(n: int) -> VerificationReport:
     partition of n with at least two classes.
 
     Also checks the doubled-complement identity on specs whose classes all
-    have size >= 2.  On mixed specs the quotient over the large classes and
-    the clique must be equitable, and its characteristic polynomial must
-    equal its quotient_poly times (x - 2(m - 1)) for each large class
-    that repeats an earlier size m: an integer identity, with no tolerance.
+    have size >= 2.  On every spec with a singleton, K_n included, the
+    quotient over the large classes and the clique must be equitable, and
+    its characteristic polynomial must equal its quotient_poly times
+    (x - 2(m - 1)) for each large class that repeats an earlier size m: an
+    integer identity, with no tolerance.
     """
     report = _sweep_report("multipartite_closed_spectra", n)
     specs = _connected_partitions(n)
@@ -261,7 +262,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
             continue
         if all(size >= 2 for size in spec.parts):
             _check_complement_identity(report, spec, g, matrix)
-        elif any(size >= 2 for size in spec.parts):
+        else:
             # build_multipartite lays classes out largest first: each large
             # class, then the singletons, merged into one clique class
             large = [size for size in spec.parts if size >= 2]

@@ -9,6 +9,7 @@ import pytest
 import eccspec as es
 import eccspec.cli as cli
 import eccspec.closed_form as closed_form
+import eccspec.exact as exact
 import eccspec.verification as verification
 from eccspec.cli import format_number, main
 from eccspec.graphs import MAX_ORDER
@@ -86,6 +87,21 @@ def test_bounds_small_order_is_an_input_error(capsys):
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_bounds_below_two_vertices_is_an_input_error_even_when_allowed_small(capsys, n):
     code, out, err = run(capsys, "bounds", "--n", n, "--allow-small")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "1" + "0" * 400],
+    ["energy", "--parts", "1000000000000,1,1"],
+    ["spectrum", "--parts", "1048576,1"],  # one past closed_form.MAX_CLOSED_ORDER
+])
+def test_orders_past_the_float_or_closed_form_limit_are_input_errors(capsys, monkeypatch, argv):
+    def refuse(r):
+        raise AssertionError("a radicand was reduced")
+
+    monkeypatch.setattr(exact, "_split_square", refuse)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 

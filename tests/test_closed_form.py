@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import eccspec as es
 import eccspec.closed_form as closed_form
+import eccspec.exact as exact
 from eccspec.errors import (
     DisconnectedSpecError,
     InvalidSpecError,
     NotDivisibleError,
+    OrderTooLargeError,
     PreconditionViolatedError,
 )
 from eccspec.exact import Surd
@@ -271,6 +273,23 @@ def test_bounds_reject_orders_below_two_even_when_allowed_small(n):
         es.energy_bounds(n, allow_small=True)
 
 
+def test_energy_upper_bound_is_twice_the_radius_bound_bitwise():
+    for n in range(2, 10**5 + 1):
+        assert es.energy_bounds(n, allow_small=True)[1] == 2 * es.radius_upper_bound(n, allow_small=True)
+
+
+def test_bounds_reject_an_order_that_overflows_a_float():
+    # n^2 - 3n + 3 passes the float limit just below n = 2^512; every smaller
+    # n keeps the value of the formula
+    n = 10**153
+    assert es.radius_upper_bound(n) == (n - 2) + math.sqrt(n * n - 3 * n + 3)
+    for n in (2**512, 10**400):
+        with pytest.raises(PreconditionViolatedError):
+            es.radius_upper_bound(n)
+        with pytest.raises(PreconditionViolatedError):
+            es.energy_bounds(n)
+
+
 # antipodal product spectra
 
 
@@ -339,6 +358,20 @@ def test_pair_energies_agree_numerically():
     e2 = es.energy(es.matrix_spectrum(es.eccentricity_matrix(partner).matrix))
     assert e1 == pytest.approx(predicted, abs=1e-9)
     assert e2 == pytest.approx(predicted, abs=1e-9)
+
+
+def test_closed_form_rejects_orders_past_its_bound_before_any_arithmetic(monkeypatch):
+    bound = closed_form.MAX_CLOSED_ORDER
+    upper = es.multipartite_spectrum_closed([bound - 1, 1]).entries[0][0]
+    assert (upper.a, upper.b, upper.r) == (bound - 2, 1, (bound - 2) ** 2 + bound - 1)
+
+    def refuse(r):
+        raise AssertionError("a radicand was reduced")
+
+    monkeypatch.setattr(exact, "_split_square", refuse)
+    for parts in ([bound, 1], [bound - 1, 1, 1], [10**12, 1, 1]):
+        with pytest.raises(OrderTooLargeError):
+            es.multipartite_spectrum_closed(parts)
 
 
 def test_star_with_a_million_leaves_is_exact():

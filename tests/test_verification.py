@@ -306,12 +306,28 @@ def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
     assert checks == {"quotient_char_poly"}
     flagged = [v["spec"] for v in report.violations]
     mixed = [list(s.parts) for s in es.enumerate_partitions(6, connected_only=True)
-             if min(s.parts) == 1 and max(s.parts) >= 2]
+             if min(s.parts) == 1]
     assert flagged == mixed
     first = report.violations[0]
     assert isinstance(first["expected"], list) and isinstance(first["actual"], list)
     assert first["expected"][:-1] == first["actual"][:-1]
     assert first["expected"][-1] == first["actual"][-1] + 1
+
+
+def test_quotient_check_covers_the_complete_graph(monkeypatch):
+    # K_n's quotient is the 1x1 matrix [[n - 1]], with polynomial x - (n - 1)
+    original = verification.multipartite_spectrum_closed
+
+    def tampered(spec):
+        closed = original(spec)
+        if max(spec.parts) >= 2:
+            return closed
+        return dataclasses.replace(closed, quotient_poly=(1, -spec.n))
+
+    monkeypatch.setattr(verification, "multipartite_spectrum_closed", tampered)
+    report = es.verify_closed_forms(6)
+    assert [(v["spec"], v["check"]) for v in report.violations] == [([1] * 6, "quotient_char_poly")]
+    assert report.violations[0]["actual"] == [1, -5]
 
 
 def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
