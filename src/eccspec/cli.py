@@ -9,6 +9,7 @@ errors.
 
 import argparse
 import json
+import math
 import sys
 
 from .closed_form import energy_bounds, multipartite_spectrum_closed, radius_upper_bound
@@ -46,6 +47,16 @@ def _parts_list(text: str) -> MultipartiteSpec:
         return MultipartiteSpec(tuple(parts))
     except (ValueError, EccspecError) as exc:
         raise argparse.ArgumentTypeError(f"bad parts list {text!r}: {exc}") from exc
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _add_graph_input(parser: argparse.ArgumentParser) -> None:
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(spectrum)
     spectrum.add_argument("--numeric", action="store_true", help="force the eigensolver route")
     spectrum.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    spectrum.add_argument("--tol", type=float, default=None,
+    spectrum.add_argument("--tol", type=_tolerance, default=None,
                           help="grouping tolerance for the numeric route (default 1e-8*max(1, norm))")
     spectrum.set_defaults(func=_cmd_spectrum)
 

@@ -65,11 +65,9 @@ class ClosedFormSpectrum:
         return sum(m for _, m in self.entries)
 
     def eigenvalues(self) -> np.ndarray:
-        """Expanded float eigenvalues, descending."""
-        out: list[float] = []
-        for value, mult in self.entries:
-            out.extend([float(value)] * mult)
-        return np.array(sorted(out, reverse=True))
+        """Expanded float eigenvalues, descending (entries are kept sorted)."""
+        values = np.array([float(v) for v, _ in self.entries])
+        return np.repeat(values, [m for _, m in self.entries])
 
     def _has_float(self) -> bool:
         return any(isinstance(v, float) for v, _ in self.entries)

@@ -19,7 +19,8 @@ class OrderTooLargeError(EccspecError):
 
 
 class InvalidSpecError(EccspecError):
-    """A multipartite part list is malformed (empty, or a part below 1)."""
+    """A multipartite part list is malformed (empty, a part that is not an
+    integer, or a part below 1)."""
 
 
 class DisconnectedSpecError(InvalidSpecError):

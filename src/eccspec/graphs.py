@@ -8,6 +8,7 @@ route that allocates an n x n matrix from an order it was given checks that
 order against MAX_ORDER first.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ class MultipartiteSpec:
 
     def __post_init__(self):
         try:
-            parts = tuple(sorted((int(x) for x in self.parts), reverse=True))
+            parts = tuple(sorted((operator.index(x) for x in self.parts), reverse=True))
         except TypeError as exc:
             raise InvalidSpecError(f"parts must be integers: {self.parts!r}") from exc
         if not parts:

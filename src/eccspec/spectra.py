@@ -146,18 +146,22 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     entry lies in [0.5, 1): no intermediate overflows, no entry that matters
     underflows, and on integer input the result is bit-identical to the
     unscaled computation.  A zero matrix is left out of every Householder
-    step and gives zeros.  The input must be exactly symmetric (inputs here
-    are integer matrices, so no tolerance is warranted).
+    step and gives zeros.  The input must be real, finite and exactly
+    symmetric (inputs here are integer matrices, so no tolerance is
+    warranted); complex or non-finite entries raise PreconditionViolatedError.
     """
     m = np.asarray(matrix)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise NonSymmetricInputError("expected a square matrix or a stack of square matrices")
+    if np.iscomplexobj(m):
+        raise PreconditionViolatedError("the eigensolver needs a real matrix")
+    work = (m if m.ndim == 3 else m[None]).astype(np.float64)
+    if not np.isfinite(work).all():
+        raise PreconditionViolatedError("the eigensolver needs finite entries")
     if m.size and not np.array_equal(m, m.swapaxes(-1, -2)):
         raise NonSymmetricInputError("matrix is not symmetric")
-    stack = m if m.ndim == 3 else m[None]
-    if not stack.size:
+    if not work.size:
         return np.empty(m.shape[:-1])
-    work = stack.astype(np.float64)
     exponents = np.frexp(np.abs(work).max(axis=(1, 2)))[1]
     work = np.ldexp(work, -exponents[:, None, None])
     diagonals, subdiagonals = _tridiagonalize(work)
@@ -206,10 +210,11 @@ def _grouping_tol(frobenius_sq: float) -> float:
 
 def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:
     """Eigenvalues of a symmetric matrix grouped at tol (default 1e-8*max(1, norm))."""
+    eigs = symmetric_eigenvalues(matrix)
     if tol is None:
         flat = np.asarray(matrix, dtype=np.float64).ravel(order="K")
         tol = _grouping_tol(float(flat @ flat))
-    return group_spectrum(symmetric_eigenvalues(matrix), tol)
+    return group_spectrum(eigs, tol)
 
 
 def energy(spectrum: Spectrum) -> float:

@@ -10,6 +10,7 @@ identities before handing it on, so findings keep the enumeration order.
 The equitable quotient of every spec with a singleton class, the complete
 graph included, is checked exactly: its integer characteristic polynomial
 must equal the closed form's quotient polynomial times the deflated factors.
+Lemma 2's doubled-complement identity is checked by verify_lemma2 alone.
 Findings land in a VerificationReport; a report passes exactly when its
 violations list is empty.
 """
@@ -161,8 +162,8 @@ def _violation(report, spec, check, expected, actual) -> None:
 
 
 def _numeric_spectra(report, labelled_graphs):
-    """Yield (label, graph, eccentricity matrix, spectrum) for each
-    (label, graph) pair, in order; the graphs share one order.
+    """Yield (label, eccentricity matrix, spectrum) for each (label, graph)
+    pair, in order; the graphs share one order.
 
     The module's only call into the eigensolver, so no numeric spectrum
     escapes the oracle.  The matrices are built and solved in stacks of at
@@ -179,14 +180,14 @@ def _numeric_spectra(report, labelled_graphs):
         frob_sq = np.sum(matrices.astype(np.float64) ** 2, axis=(1, 2))
         sq_dev = np.abs(np.sum(eigs**2, axis=1) - frob_sq)
         order = eigs.shape[1]
-        for i, (label, g) in enumerate(chunk):
+        for i, (label, _) in enumerate(chunk):
             if trace_dev[i] >= TOL_TRACE * order:
                 _violation(report, label, "oracle_trace", 0.0, float(trace_dev[i]))
             if sq_dev[i] >= TOL_FROBENIUS * max(frob_sq[i], 1.0):
                 _violation(report, label, "oracle_frobenius",
                            float(frob_sq[i]), float(frob_sq[i] + sq_dev[i]))
             spectrum = group_spectrum(eigs[i].tolist(), _grouping_tol(frob_sq[i]))
-            yield label, g, matrices[i], spectrum
+            yield label, matrices[i], spectrum
 
 
 def _char_poly(a) -> list[int]:
@@ -234,50 +235,40 @@ def _check_spectrum(report, label, closed, numeric) -> bool:
     return True
 
 
-def _check_complement_identity(report, spec, g, matrix) -> None:
-    # Lemma 2: on diameter-2 specs the eccentricity matrix is 2*A(complement)
-    dev = float(np.max(np.abs(ecc_via_complement(g).matrix - matrix)))
-    _record(report, dev)
-    if dev != 0.0:
-        _violation(report, spec, "complement_identity", 0, dev)
-
-
 def verify_closed_forms(n: int) -> VerificationReport:
     """Check the closed-form spectra against the numeric eigensolver for every
     partition of n with at least two classes.
 
-    Also checks the doubled-complement identity on specs whose classes all
-    have size >= 2.  On every spec with a singleton, K_n included, the
-    quotient over the large classes and the clique must be equitable, and
-    its characteristic polynomial must equal its quotient_poly times
+    On every spec with a singleton, K_n included, the quotient over the
+    large classes and the clique must also be equitable, and its
+    characteristic polynomial must equal its quotient_poly times
     (x - 2(m - 1)) for each large class that repeats an earlier size m: an
-    integer identity, with no tolerance.
+    integer identity, with no tolerance.  Specs whose classes all have size
+    >= 2 get the spectrum check only; their doubled-complement identity is
+    verify_lemma2's.
     """
     report = _sweep_report("multipartite_closed_spectra", n)
     specs = _connected_partitions(n)
-    for spec, g, matrix, numeric in _numeric_spectra(report, _multipartite(specs)):
+    for spec, matrix, numeric in _numeric_spectra(report, _multipartite(specs)):
         report.cases += 1
         closed = multipartite_spectrum_closed(spec)
-        if not _check_spectrum(report, spec, closed, numeric):
+        if not _check_spectrum(report, spec, closed, numeric) or spec.parts[-1] > 1:
             continue
-        if all(size >= 2 for size in spec.parts):
-            _check_complement_identity(report, spec, g, matrix)
-        else:
-            # build_multipartite lays classes out largest first: each large
-            # class, then the singletons, merged into one clique class
-            large = [size for size in spec.parts if size >= 2]
-            classes = np.split(np.arange(spec.n), np.cumsum(large))
-            q, equitable = quotient_matrix(matrix, classes)
-            if not equitable:
-                _violation(report, spec, "quotient_equitable", True, False)
-                continue
-            expected = list(closed.quotient_poly)
-            for prev, size in zip(large, large[1:]):
-                if size == prev:
-                    expected = _times_linear(expected, 2 * (size - 1))
-            actual = _char_poly(q.astype(np.int64))
-            if actual != expected:
-                _violation(report, spec, "quotient_char_poly", expected, actual)
+        # build_multipartite lays classes out largest first: each large
+        # class, then the singletons, merged into one clique class
+        large = [size for size in spec.parts if size >= 2]
+        classes = np.split(np.arange(spec.n), np.cumsum(large))
+        q, equitable = quotient_matrix(matrix, classes)
+        if not equitable:
+            _violation(report, spec, "quotient_equitable", True, False)
+            continue
+        expected = list(closed.quotient_poly)
+        for prev, size in zip(large, large[1:]):
+            if size == prev:
+                expected = _times_linear(expected, 2 * (size - 1))
+        actual = _char_poly(q.astype(np.int64))
+        if actual != expected:
+            _violation(report, spec, "quotient_char_poly", expected, actual)
     report.witnesses["partitions_checked"] = report.cases
     return report
 
@@ -289,7 +280,10 @@ def verify_lemma2(n: int) -> VerificationReport:
     for spec in _connected_partitions(n, smallest=2):
         report.cases += 1
         g = build_multipartite(spec)
-        _check_complement_identity(report, spec, g, eccentricity_matrix(g).matrix)
+        dev = float(np.max(np.abs(ecc_via_complement(g).matrix - eccentricity_matrix(g).matrix)))
+        _record(report, dev)
+        if dev != 0.0:
+            _violation(report, spec, "complement_identity", 0, dev)
     report.witnesses["specs_checked"] = report.cases
     return report
 
@@ -314,7 +308,7 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
     radii: list[tuple[float, MultipartiteSpec]] = []
     energies: list[tuple[float, MultipartiteSpec]] = []
     specs = _connected_partitions(n)
-    for spec, _, _, spectrum in _numeric_spectra(report, _multipartite(specs)):
+    for spec, _, spectrum in _numeric_spectra(report, _multipartite(specs)):
         report.cases += 1
         radius = spectral_radius(spectrum)
         e = energy(spectrum)
@@ -379,31 +373,25 @@ def _sample_indices(count: int, cap: int) -> list[int]:
 
 
 def _check_pair_order(report, n: int, product, partners, predicted: int, sweep=()):
-    # one order-4n stream: the product K_{n,n} (x) K_2 against the antipodal
-    # product spectrum (a = n, diameter 2) and, even when that spectrum's
-    # size is wrong, the predicted energy and the zero multiplicity; then the
-    # (spec, graph) partners, which share that energy but not the zero
-    # eigenvalue; then the sweep specs, whose energy is 4(order - p)
+    # three stages of one order-4n stream: the product K_{n,n} (x) K_2
+    # against the antipodal product spectrum (a = n, diameter 2) and, even
+    # when that spectrum's size is wrong, the predicted energy and the zero
+    # multiplicity; the (spec, graph) partners, which share that energy but
+    # not the zero eigenvalue; the sweep specs, whose energy is 4(order - p)
     label = [n, n, "x", 2]
-    stream = itertools.chain([(label, product)], partners, _multipartite(sweep))
+    stream = _numeric_spectra(report, itertools.chain([(label, product)], partners, _multipartite(sweep)))
+    _, _, spectrum = next(stream)
+    _check_spectrum(report, label, antipodal_product_spectrum(2 * n, n, 2, 2), spectrum)
+    e_product = energy(spectrum)
+    zero_mult = int(np.sum(np.abs(np.array(spectrum.eigenvalues)) < ZERO_EIG_TOL))
+    if zero_mult != 2 * n:
+        _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
+    if abs(e_product - predicted) >= TOL_MATCH:
+        _violation(report, label, "product_energy", predicted, e_product)
     e_partners = []
-    for k, (spec, _, _, spectrum) in enumerate(_numeric_spectra(report, stream)):
-        e = energy(spectrum)
-        if k == 0:
-            _check_spectrum(report, label, antipodal_product_spectrum(2 * n, n, 2, 2), spectrum)
-            e_product, zero_mult = e, int(np.sum(np.abs(np.array(spectrum.eigenvalues)) < ZERO_EIG_TOL))
-            if zero_mult != 2 * n:
-                _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
-            if abs(e_product - predicted) >= TOL_MATCH:
-                _violation(report, label, "product_energy", predicted, e_product)
-            continue
+    for spec, _, spectrum in itertools.islice(stream, len(partners)):
         report.cases += 1
-        if k > len(partners):
-            expected = float(4 * (4 * n - spec.p))
-            _record(report, abs(e - expected))
-            if abs(e - expected) >= TOL_MATCH:
-                _violation(report, spec, "equal_order_equal_p_energy", expected, e)
-            continue
+        e = energy(spectrum)
         e_partners.append(e)
         _record(report, abs(e_product - e))
         if abs(e_product - e) >= TOL_MATCH:
@@ -412,6 +400,13 @@ def _check_pair_order(report, n: int, product, partners, predicted: int, sweep=(
             _violation(report, spec, "predicted_energy", predicted, e)
         if np.min(np.abs(np.array(spectrum.eigenvalues))) < ZERO_EIG_TOL:
             _violation(report, spec, "zero_absent", "no zero eigenvalue", "zero present")
+    for spec, _, spectrum in stream:
+        report.cases += 1
+        e = energy(spectrum)
+        expected = float(4 * (4 * n - spec.p))
+        _record(report, abs(e - expected))
+        if abs(e - expected) >= TOL_MATCH:
+            _violation(report, spec, "equal_order_equal_p_energy", expected, e)
     return e_product, zero_mult, e_partners
 
 

@@ -287,6 +287,21 @@ def test_input_errors_exit_with_code_two(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("route", [[], ["--numeric"]], ids=["closed", "numeric"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "x"])
+def test_a_bad_tolerance_is_an_input_error_on_both_routes(capsys, tol, route):
+    code, out, err = run(capsys, "spectrum", "--parts", "3,1", "--tol", tol, *route)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"eccspec spectrum: error: argument --tol: tolerance must be finite and >= 0, got {tol!r}"
+    ]
+
+
+def test_a_valid_tolerance_leaves_the_closed_route_unchanged(capsys):
+    expected = run(capsys, "spectrum", "--parts", "3,1")
+    assert run(capsys, "spectrum", "--parts", "3,1", "--tol", "0.5") == expected
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

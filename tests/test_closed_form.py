@@ -374,6 +374,14 @@ def test_closed_form_rejects_orders_past_its_bound_before_any_arithmetic(monkeyp
             es.multipartite_spectrum_closed(parts)
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_eigenvalues_expand_the_sorted_entries(n):
+    for spec in es.enumerate_partitions(n, connected_only=True):
+        closed = es.multipartite_spectrum_closed(spec)
+        expanded = sorted((float(v) for v, m in closed.entries for _ in range(m)), reverse=True)
+        assert closed.eigenvalues().tolist() == expanded
+
+
 def test_star_with_a_million_leaves_is_exact():
     # roots (m - 1) +- sqrt((m - 1)**2 + m) of the star's quotient; the
     # radicand 999999000001 is squarefree, so it stays as it is

@@ -83,6 +83,20 @@ def test_spec_rejects_bad_parts(parts):
         es.as_spec(parts)
 
 
+@pytest.mark.parametrize("parts", [(2.5, 1), ("3", 1)])
+def test_spec_rejects_parts_that_are_not_integers(parts):
+    with pytest.raises(InvalidSpecError):
+        es.MultipartiteSpec(parts)
+    with pytest.raises(InvalidSpecError):
+        es.multipartite_spectrum_closed(list(parts))
+
+
+def test_spec_accepts_numpy_integers():
+    spec = es.MultipartiteSpec((np.int64(3), np.int32(1)))
+    assert spec.parts == (3, 1)
+    assert all(type(x) is int for x in spec.parts)
+
+
 def test_convenience_generators_delegate():
     assert es.star(5) == es.build_multipartite([4, 1])
     assert es.complete(4).num_edges == 6

@@ -1,6 +1,8 @@
 """Eigensolver, spectrum grouping, energy, radius, quotients."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +68,28 @@ def test_non_symmetric_input_is_rejected():
         es.symmetric_eigenvalues(np.array([[0, 1], [0, 0]]))
     with pytest.raises(NonSymmetricInputError):
         es.symmetric_eigenvalues(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[math.inf, 1], [1, 0]], [[math.nan, 1], [1, 0]], np.array([[0, 1j], [1j, 0]])],
+    ids=["inf", "nan", "complex"],
+)
+def test_non_finite_or_complex_input_is_a_precondition_error(matrix):
+    # raised before the symmetry test, which reads NaN as asymmetric, and
+    # before a cast that would drop the imaginary part with only a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolatedError):
+            es.symmetric_eigenvalues(matrix)
+        with pytest.raises(PreconditionViolatedError):
+            es.matrix_spectrum(matrix)
+
+
+def test_exact_fraction_input_is_solved_as_its_float_copy():
+    exact = np.array([[Fraction(1, 2), 1], [1, Fraction(-3, 4)]], dtype=object)
+    assert np.array_equal(es.symmetric_eigenvalues(exact),
+                          es.symmetric_eigenvalues(exact.astype(np.float64)))
 
 
 def test_sweep_cap_raises_convergence_failure(monkeypatch):

@@ -458,3 +458,19 @@ def test_pass_flag_tracks_violations():
     report.violations.append({"check": "synthetic"})
     assert not report.passed
     assert report.as_dict()["pass"] is False
+
+
+def test_theorem_1_sweep_leaves_the_complement_identity_to_lemma2(monkeypatch):
+    calls = []
+    original = verification.ecc_via_complement
+    monkeypatch.setattr(verification, "ecc_via_complement", lambda g: calls.append(g) or original(g))
+    assert verification.verify_closed_forms(8).passed
+    assert calls == []
+    assert verification.verify_lemma2(8).passed
+    assert len(calls) == 6
+
+
+def test_lemma2_sweeps_every_spec_without_a_singleton():
+    for n in range(4, 21):
+        specs = es.enumerate_partitions(n, connected_only=True)
+        assert verification.verify_lemma2(n).cases == sum(1 for s in specs if s.parts[-1] >= 2)
