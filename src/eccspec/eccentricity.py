@@ -4,6 +4,8 @@ The eccentricity matrix keeps a distance entry d(u,v) only when it equals
 min(ecc(u), ecc(v)) and zeroes it otherwise.  For connected graphs of diameter
 2 whose maximum degree is below n-1 the matrix is exactly twice the adjacency
 matrix of the complement, which gives a cheap independent construction route.
+The defining rule is one kernel that zeroes a stack of distance matrices in
+place; eccentricity_matrix applies it to a stack of one.
 """
 
 from dataclasses import dataclass
@@ -30,12 +32,23 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _eccentricity_stack(dist: np.ndarray) -> np.ndarray:
+    """Turn a writable (k, n, n) distance stack into its eccentricity
+    matrices in place, and return it.
+
+    d(u,v) is at most both ecc(u) and ecc(v), so it equals their minimum
+    exactly when it reaches one of them; every other entry is zeroed.
+    """
+    ecc = dist.max(axis=2)
+    below = dist < ecc[:, :, None]
+    below &= dist < ecc[:, None, :]
+    np.copyto(dist, 0, where=below)
+    return dist
+
+
 def eccentricity_matrix(g: Graph) -> EccentricityMatrix:
     """Entry (u,v) is d(u,v) when d(u,v) = min(ecc(u), ecc(v)), else 0."""
-    dm = all_pairs_distances(g)
-    ecc = dm.eccentricities
-    threshold = np.minimum(ecc[:, None], ecc[None, :])
-    kept = np.where(dm.matrix == threshold, dm.matrix, 0).astype(np.int64)
+    kept = _eccentricity_stack(all_pairs_distances(g).matrix[None].copy())[0]
     return EccentricityMatrix(_freeze(kept), PROVENANCE_DEFINITION)
 
 

@@ -6,6 +6,11 @@ desk-scale graphs (n up to a few thousand), where O(n^2) storage is irrelevant
 next to the dense distance and eccentricity matrices built on top.  Every
 route that allocates an n x n matrix from an order it was given checks that
 order against MAX_ORDER first.
+
+Multipartite adjacency and all-pairs distances each have one kernel that
+takes a stack (k, n, n) of equal-order graphs, so the verification sweeps
+build and measure a chunk of specs in one call; build_multipartite and
+all_pairs_distances are stacks of one.
 """
 
 import operator
@@ -25,7 +30,7 @@ from .errors import (
 # Largest order a graph may have.  Dense storage keeps a handful of n x n
 # matrices alive at once (adjacency, distances, the eccentricity matrix): at
 # this order the eccentricity matrix of a diameter-2 graph peaks at about
-# 600 MB.  Closed forms of multipartite specs build no graph and need no bound.
+# 330 MB.  Closed forms of multipartite specs build no graph and need no bound.
 MAX_ORDER = 4096
 
 
@@ -104,6 +109,9 @@ class MultipartiteSpec:
             parts = tuple(sorted((operator.index(x) for x in self.parts), reverse=True))
         except TypeError as exc:
             raise InvalidSpecError(f"parts must be integers: {self.parts!r}") from exc
+        # bool passes operator.index, but True is no class size
+        if any(isinstance(x, bool) for x in self.parts):
+            raise InvalidSpecError(f"parts must be integers, not booleans: {self.parts!r}")
         if not parts:
             raise InvalidSpecError("parts list is empty")
         if parts[-1] <= 0:
@@ -129,15 +137,24 @@ def as_spec(parts) -> MultipartiteSpec:
     return MultipartiteSpec(tuple(parts))
 
 
+def _multipartite_adjacency(specs) -> np.ndarray:
+    """Adjacency stack (k, n, n) of k specs of one order n: u ~ v exactly
+    when their class labels differ.  Vertices are laid out class by class,
+    largest class first; each class of the stack has its own label.
+    """
+    n = specs[0].n
+    _check_order(n)
+    sizes = [size for spec in specs for size in spec.parts]
+    labels = np.repeat(np.arange(len(sizes)), sizes).reshape(len(specs), n)
+    return labels[:, :, None] != labels[:, None, :]
+
+
 def build_multipartite(parts) -> Graph:
     """Complete multipartite graph: u ~ v exactly when they sit in different classes.
 
     Vertices are laid out class by class, largest class first.
     """
-    spec = as_spec(parts)
-    _check_order(spec.n)
-    labels = np.repeat(np.arange(spec.p), spec.parts)
-    return Graph(labels[:, None] != labels[None, :])
+    return Graph(_multipartite_adjacency([as_spec(parts)])[0])
 
 
 def complete(n: int) -> Graph:
@@ -174,35 +191,41 @@ class DistanceMatrix:
     diameter: int
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Distances between all pairs by Seidel's algorithm (JCSS 1995).
+def _seidel(adjacency: np.ndarray) -> np.ndarray:
+    """Distance stack (k, n, n) int64 of a (k, n, n) adjacency stack, by
+    Seidel's algorithm (JCSS 1995).
 
     Up: level k + 1 joins the vertices at distance at most 2 in level k,
-    one squaring each, until a level is complete: ceil(log2(d)) products
-    for diameter d.  Down: the top stored level squares to the complete
-    graph, so its distances are 1 on its edges and 2 off them, with no
-    product.  Each lower level A takes D to 2D minus the indicator of
-    (D A)_uv < D_uv deg(v), one product each.  That is 2 ceil(log2(d)) - 1
-    products in all, one for a diameter-2 graph, against d - 1 for a
-    breadth-first search.  Levels are kept as bool; products run in float32.
+    one squaring each, until every member's level is complete: ceil(log2(d))
+    products for the largest diameter d.  A complete level squares to
+    itself, so members of smaller diameter share the levels above theirs.
+    Down: the top stored level squares to the complete graph, so its
+    distances are 1 on its edges and 2 off them, with no product.  Each
+    lower level A takes D to 2D minus the indicator of (D A)_uv < D_uv
+    deg(v), one product each.  That is 2 ceil(log2(d)) - 1 products in all,
+    one for a diameter-2 graph, against d - 1 for a breadth-first search.
+    Levels are kept as bool; products run in float32 and are exact, so each
+    member gets the distances it would get alone.
 
-    Raises DisconnectedGraphError when some pair is unreachable, since the
-    eccentricity (and everything downstream of it) is undefined there.
+    Raises DisconnectedGraphError when some member has an unreachable pair.
     """
     # Every product entry is a sum of at most n - 1 non-negative integers,
     # each at most n - 1, so at most (MAX_ORDER - 1)^2 < 2^24: float32 holds
     # it, and D_uv deg(v), exactly.
-    all_edges = g.n * (g.n - 1)
-    levels = [g.adjacency]
-    edges = int(np.count_nonzero(g.adjacency))
+    count, n, _ = adjacency.shape
+    all_edges = count * n * (n - 1)
+    levels = [adjacency]
+    edges = np.count_nonzero(adjacency)
     while edges < all_edges:
         reach = levels[-1].astype(np.float32)
-        up = (reach @ reach > 0) | levels[-1]
+        up = reach @ reach > 0
         del reach
-        np.fill_diagonal(up, False)
-        grown = int(np.count_nonzero(up))
-        # squaring only adds edges, so a level that stops growing short of
-        # the complete graph has a pair no path joins
+        up |= levels[-1]
+        up.reshape(count, n * n)[:, ::n + 1] = False
+        grown = np.count_nonzero(up)
+        # squaring only adds edges, and a complete member stays complete, so
+        # a stack that stops growing short of complete has a member with a
+        # pair no path joins
         if grown == edges:
             raise DisconnectedGraphError(
                 "graph is disconnected; eccentricities are undefined"
@@ -214,13 +237,24 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     dist = levels.pop().astype(np.float32)
     if levels:
         dist = 2 * dist - levels.pop()
-    for level in reversed(levels):
-        adj = level.astype(np.float32)
-        odd = dist @ adj < dist * adj.sum(axis=0)
-        del adj
+    while levels:
+        adj = levels.pop().astype(np.float32)
+        product = dist @ adj
+        np.multiply(dist, adj.sum(axis=1, keepdims=True), out=adj)
+        odd = product < adj
+        del adj, product
         dist *= 2
         dist -= odd
-    dist = dist.astype(np.int64)
+    return dist.astype(np.int64)
+
+
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """Distances between all pairs by Seidel's algorithm, as a stack of one.
+
+    Raises DisconnectedGraphError when some pair is unreachable, since the
+    eccentricity (and everything downstream of it) is undefined there.
+    """
+    dist = _seidel(g.adjacency[None])[0]
     dist.setflags(write=False)
     ecc = dist.max(axis=1)
     ecc.setflags(write=False)

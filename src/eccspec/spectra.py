@@ -148,14 +148,19 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     unscaled computation.  A zero matrix is left out of every Householder
     step and gives zeros.  The input must be real, finite and exactly
     symmetric (inputs here are integer matrices, so no tolerance is
-    warranted); complex or non-finite entries raise PreconditionViolatedError.
+    warranted); complex, non-numeric or non-finite entries raise
+    PreconditionViolatedError.
     """
     m = np.asarray(matrix)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise NonSymmetricInputError("expected a square matrix or a stack of square matrices")
     if np.iscomplexobj(m):
         raise PreconditionViolatedError("the eigensolver needs a real matrix")
-    work = (m if m.ndim == 3 else m[None]).astype(np.float64)
+    try:
+        work = (m if m.ndim == 3 else m[None]).astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        # an object or string array whose entries are not real numbers
+        raise PreconditionViolatedError("the eigensolver needs real numeric entries") from exc
     if not np.isfinite(work).all():
         raise PreconditionViolatedError("the eigensolver needs finite entries")
     if m.size and not np.array_equal(m, m.swapaxes(-1, -2)):

@@ -3,10 +3,13 @@
 Each verifier enumerates integer partitions, builds the actual graphs, runs
 the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
-Every numeric spectrum comes from one step, `_numeric_spectra`, which solves
-the equal-order matrices of a sweep in stacks of at most `_CHUNK` and checks
-each spectrum against the trace (zero) and Frobenius (squared norm)
-identities before handing it on, so findings keep the enumeration order.
+The equal-order specs of a sweep go through the chain in chunks of at most
+`_CHUNK`: one adjacency stack built from their class labels, one stacked
+Seidel run, one in-place eccentricity pass, with no Graph per spec.  Every
+numeric spectrum comes from one step, `_numeric_spectra`, which solves a
+chunk's matrices as one stack and checks each spectrum against the trace
+(zero) and Frobenius (squared norm) identities before handing it on, so
+findings keep the enumeration order.
 The equitable quotient of every spec with a singleton class, the complete
 graph included, is checked exactly: its integer characteristic polynomial
 must equal the closed form's quotient polynomial times the deflated factors.
@@ -29,11 +32,14 @@ from .closed_form import (
     multipartite_spectrum_closed,
     radius_upper_bound,
 )
-from .eccentricity import ecc_via_complement, eccentricity_matrix
+from .eccentricity import _eccentricity_stack, ecc_via_complement
 from .errors import PreconditionViolatedError
 from .graphs import (
+    Graph,
     MultipartiteSpec,
     _check_order,
+    _multipartite_adjacency,
+    _seidel,
     all_pairs_distances,
     antipodal_class,
     build_multipartite,
@@ -141,8 +147,9 @@ def _check_sweep_size(n: int, smallest: int = 1) -> None:
         raise PreconditionViolatedError(f"order {n} has over {_SWEEP_CAP} partitions to sweep")
 
 
-def _multipartite(specs):
-    return ((spec, build_multipartite(spec)) for spec in specs)
+def _labelled(specs):
+    # a spec labels itself
+    return ((spec, spec) for spec in specs)
 
 
 def _record(report: VerificationReport, dev: float) -> None:
@@ -161,23 +168,46 @@ def _violation(report, spec, check, expected, actual) -> None:
     )
 
 
-def _numeric_spectra(report, labelled_graphs):
-    """Yield (label, eccentricity matrix, spectrum) for each (label, graph)
-    pair, in order; the graphs share one order.
+def _adjacency_stack(sources) -> np.ndarray:
+    # the specs among equal-order sources are built by one kernel call; a
+    # Graph (a pair order's product or partner) brings its own adjacency
+    specs = [s for s in sources if isinstance(s, MultipartiteSpec)]
+    if len(specs) == len(sources):
+        return _multipartite_adjacency(specs)
+    built = iter(_multipartite_adjacency(specs) if specs else ())
+    return np.stack([next(built) if isinstance(s, MultipartiteSpec) else s.adjacency
+                     for s in sources])
+
+
+def _eccentricity_chunks(labelled):
+    """Yield (chunk, adjacency stack, eccentricity stack) for the
+    (label, source) pairs of one order, at most _CHUNK at a time.
+
+    A source is a MultipartiteSpec or a Graph.  Each stack is built by one
+    call per layer: adjacency, Seidel distances, eccentricity matrices.
+    """
+    pairs = iter(labelled)
+    while chunk := list(itertools.islice(pairs, _CHUNK)):
+        adjacency = _adjacency_stack([source for _, source in chunk])
+        yield chunk, adjacency, _eccentricity_stack(_seidel(adjacency))
+
+
+def _numeric_spectra(report, labelled):
+    """Yield (label, eccentricity matrix, spectrum) for each (label, source)
+    pair, in order; the sources share one order.
 
     The module's only call into the eigensolver, so no numeric spectrum
     escapes the oracle.  The matrices are built and solved in stacks of at
     most _CHUNK, and the trace and Frobenius sums of a stack are reduced at
     once; a pair's oracle findings are recorded just before it is yielded.
     Each spectrum is grouped at matrix_spectrum's default tolerance.  The
-    matrices are integer, so their squared norms are exact.
+    matrices are integer, so their squared norms are summed exactly in
+    int64.
     """
-    pairs = iter(labelled_graphs)
-    while chunk := list(itertools.islice(pairs, _CHUNK)):
-        matrices = np.stack([eccentricity_matrix(g).matrix for _, g in chunk])
+    for chunk, _, matrices in _eccentricity_chunks(labelled):
         eigs = symmetric_eigenvalues(matrices)
         trace_dev = np.abs(eigs.sum(axis=1))
-        frob_sq = np.sum(matrices.astype(np.float64) ** 2, axis=(1, 2))
+        frob_sq = np.einsum("kij,kij->k", matrices, matrices)
         sq_dev = np.abs(np.sum(eigs**2, axis=1) - frob_sq)
         order = eigs.shape[1]
         for i, (label, _) in enumerate(chunk):
@@ -193,14 +223,15 @@ def _numeric_spectra(report, labelled_graphs):
 def _char_poly(a) -> list[int]:
     # det(xI - a) of an integer matrix, leading coefficient first, by
     # Faddeev-LeVerrier over Python ints: M_i = a M_{i-1} + c_{i-1} I and
-    # c_i = -tr(a M_i) / i, where the division is exact
+    # c_i = -tr(a M_i) / i, where the division is exact; a M_i is carried
+    # into the next step, so each step does one product
     a = np.asarray(a).astype(object)
     identity = np.eye(len(a), dtype=object)
     coeffs = [1]
-    m = np.zeros_like(identity)
+    am = np.zeros_like(identity)
     for i in range(1, len(a) + 1):
-        m = a @ m + coeffs[-1] * identity
-        coeffs.append(-(np.trace(a @ m) // i))
+        am = a @ (am + coeffs[-1] * identity)
+        coeffs.append(-(np.trace(am) // i))
     return coeffs
 
 
@@ -249,12 +280,12 @@ def verify_closed_forms(n: int) -> VerificationReport:
     """
     report = _sweep_report("multipartite_closed_spectra", n)
     specs = _connected_partitions(n)
-    for spec, matrix, numeric in _numeric_spectra(report, _multipartite(specs)):
+    for spec, matrix, numeric in _numeric_spectra(report, _labelled(specs)):
         report.cases += 1
         closed = multipartite_spectrum_closed(spec)
         if not _check_spectrum(report, spec, closed, numeric) or spec.parts[-1] > 1:
             continue
-        # build_multipartite lays classes out largest first: each large
+        # the adjacency kernel lays classes out largest first: each large
         # class, then the singletons, merged into one clique class
         large = [size for size in spec.parts if size >= 2]
         classes = np.split(np.arange(spec.n), np.cumsum(large))
@@ -277,13 +308,14 @@ def verify_lemma2(n: int) -> VerificationReport:
     """Entrywise identity ecc matrix == 2*A(complement) for every spec of n
     whose classes all have size >= 2."""
     report = _sweep_report("complement_identity", n, smallest=2)
-    for spec in _connected_partitions(n, smallest=2):
-        report.cases += 1
-        g = build_multipartite(spec)
-        dev = float(np.max(np.abs(ecc_via_complement(g).matrix - eccentricity_matrix(g).matrix)))
-        _record(report, dev)
-        if dev != 0.0:
-            _violation(report, spec, "complement_identity", 0, dev)
+    specs = _connected_partitions(n, smallest=2)
+    for chunk, adjacency, matrices in _eccentricity_chunks(_labelled(specs)):
+        for (spec, _), adj, matrix in zip(chunk, adjacency, matrices):
+            report.cases += 1
+            dev = float(np.max(np.abs(ecc_via_complement(Graph(adj)).matrix - matrix)))
+            _record(report, dev)
+            if dev != 0.0:
+                _violation(report, spec, "complement_identity", 0, dev)
     report.witnesses["specs_checked"] = report.cases
     return report
 
@@ -308,7 +340,7 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
     radii: list[tuple[float, MultipartiteSpec]] = []
     energies: list[tuple[float, MultipartiteSpec]] = []
     specs = _connected_partitions(n)
-    for spec, _, spectrum in _numeric_spectra(report, _multipartite(specs)):
+    for spec, _, spectrum in _numeric_spectra(report, _labelled(specs)):
         report.cases += 1
         radius = spectral_radius(spectrum)
         e = energy(spectrum)
@@ -379,7 +411,7 @@ def _check_pair_order(report, n: int, product, partners, predicted: int, sweep=(
     # multiplicity; the (spec, graph) partners, which share that energy but
     # not the zero eigenvalue; the sweep specs, whose energy is 4(order - p)
     label = [n, n, "x", 2]
-    stream = _numeric_spectra(report, itertools.chain([(label, product)], partners, _multipartite(sweep)))
+    stream = _numeric_spectra(report, itertools.chain([(label, product)], partners, _labelled(sweep)))
     _, _, spectrum = next(stream)
     _check_spectrum(report, label, antipodal_product_spectrum(2 * n, n, 2, 2), spectrum)
     e_product = energy(spectrum)
@@ -459,7 +491,7 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
             continue
         product, partner, predicted = equienergetic_pair(n, 0)
         partner_specs = [MultipartiteSpec((n + i, n, n, n - i)) for i in range(n - 1)]
-        partners = [(partner_specs[0], partner), *_multipartite(partner_specs[1:])]
+        partners = [(partner_specs[0], partner), *_labelled(partner_specs[1:])]
         # equal order + equal class count forces equal energy 4(order - p)
         available = sweep_sizes[4 * n]
         picked = set(_sample_indices(available, GROUP_CHECK_CAP))

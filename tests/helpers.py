@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 
 @st.composite
-def adjacencies(draw, max_order, connected=False):
+def adjacencies(draw, max_order, connected=False, min_order=None):
     # a random upper triangle; connected graphs also get a random spanning
     # tree, each vertex joined to an earlier one
-    n = draw(st.integers(2 if connected else 1, max_order))
+    n = draw(st.integers(min_order or (2 if connected else 1), max_order))
     upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     adj = np.zeros((n, n), dtype=bool)
     adj[np.triu_indices(n, 1)] = upper
@@ -21,6 +21,14 @@ def adjacencies(draw, max_order, connected=False):
         for v in range(1, n):
             adj[draw(st.integers(0, v - 1)), v] = True
     return adj | adj.T
+
+
+def same_order_stacks(max_order):
+    # (k, n, n) stacks of connected graphs of one order, whose diameters
+    # differ from member to member
+    return st.integers(2, max_order).flatmap(
+        lambda n: st.lists(adjacencies(n, connected=True, min_order=n), min_size=1, max_size=6)
+    ).map(np.stack)
 
 
 def floyd_warshall_distances(adjacency) -> np.ndarray:

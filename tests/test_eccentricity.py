@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 import eccspec as es
+import eccspec.eccentricity as eccentricity
+import eccspec.graphs as graphs
 from eccspec.errors import DisconnectedGraphError, PreconditionViolatedError
 from helpers import (
     UNREACHABLE,
@@ -12,6 +14,7 @@ from helpers import (
     eccentricity_by_definition,
     floyd_warshall_distances,
     random_adjacency,
+    same_order_stacks,
 )
 
 
@@ -139,6 +142,17 @@ def test_matrix_invariants_on_random_connected_graphs():
 def test_matrix_matches_the_definition_on_random_connected_graphs(adj):
     matrix = es.eccentricity_matrix(es.Graph(adj)).matrix
     assert np.array_equal(matrix, eccentricity_by_definition(adj))
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_order_stacks(12))
+def test_matrix_stack_matches_the_definition_and_each_stack_of_one(stack):
+    matrices = eccentricity._eccentricity_stack(graphs._seidel(stack))
+    for adj, row in zip(stack, matrices):
+        assert np.array_equal(row, eccentricity_by_definition(adj))
+        alone = es.eccentricity_matrix(es.Graph(adj)).matrix
+        assert row.dtype == alone.dtype and row.tobytes() == alone.tobytes()
+        assert not alone.flags.writeable
 
 
 def test_single_vertex_matrix_is_zero():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import eccspec as es
+import eccspec.graphs as graphs
 from eccspec.errors import (
     DisconnectedGraphError,
     InvalidSpecError,
@@ -20,6 +21,7 @@ from helpers import (
     antipodal_fibre_size_loop,
     floyd_warshall_distances,
     random_adjacency,
+    same_order_stacks,
     strong_product_by_edge_rule,
 )
 
@@ -83,7 +85,7 @@ def test_spec_rejects_bad_parts(parts):
         es.as_spec(parts)
 
 
-@pytest.mark.parametrize("parts", [(2.5, 1), ("3", 1)])
+@pytest.mark.parametrize("parts", [(2.5, 1), ("3", 1), (True, True)])
 def test_spec_rejects_parts_that_are_not_integers(parts):
     with pytest.raises(InvalidSpecError):
         es.MultipartiteSpec(parts)
@@ -95,6 +97,15 @@ def test_spec_accepts_numpy_integers():
     spec = es.MultipartiteSpec((np.int64(3), np.int32(1)))
     assert spec.parts == (3, 1)
     assert all(type(x) is int for x in spec.parts)
+
+
+def test_multipartite_stack_rows_follow_the_class_rule():
+    specs = es.enumerate_partitions(7)
+    stack = graphs._multipartite_adjacency(specs)
+    assert stack.shape == (len(specs), 7, 7) and stack.dtype == bool
+    for spec, row in zip(specs, stack):
+        label = [c for c, size in enumerate(spec.parts) for _ in range(size)]
+        assert row.tolist() == [[label[u] != label[v] for v in range(7)] for u in range(7)]
 
 
 def test_convenience_generators_delegate():
@@ -260,6 +271,38 @@ def test_distances_match_floyd_warshall_on_any_graph(adj):
     assert np.array_equal(dm.matrix, oracle)
     assert dm.eccentricities.tolist() == oracle.max(axis=1).tolist()
     assert dm.diameter == oracle.max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_order_stacks(12))
+def test_distance_stack_matches_floyd_warshall_and_each_stack_of_one(stack):
+    dist = graphs._seidel(stack)
+    assert dist.shape == stack.shape and dist.dtype == np.int64
+    for adj, row in zip(stack, dist):
+        assert np.array_equal(row, floyd_warshall_distances(adj))
+        alone = es.all_pairs_distances(es.Graph(adj)).matrix
+        assert row.dtype == alone.dtype and row.tobytes() == alone.tobytes()
+
+
+def test_stack_members_of_different_diameters_share_levels():
+    # diameters 8, 4, 2 and 1: the smaller ones ride through complete levels
+    n = 9
+    members = [path_graph(n), cycle_graph(n), es.star(n), es.complete(n)]
+    dist = graphs._seidel(np.stack([g.adjacency for g in members]))
+    assert dist.max(axis=(1, 2)).tolist() == [8, 4, 2, 1]
+    for g, row in zip(members, dist):
+        assert np.array_equal(row, floyd_warshall_distances(g.adjacency))
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_a_stack_with_one_disconnected_member_is_rejected(position):
+    # the path's levels keep the stack growing after the isolated vertex's
+    # member has stopped
+    n = 9
+    members = [path_graph(n).adjacency, es.complete(n).adjacency]
+    members.insert(position, es.Graph.from_edges(n, [(i, i + 1) for i in range(n - 2)]).adjacency)
+    with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+        graphs._seidel(np.stack(members))
 
 
 def test_long_paths_and_cycles_by_their_closed_distances():

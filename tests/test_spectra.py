@@ -72,8 +72,9 @@ def test_non_symmetric_input_is_rejected():
 
 @pytest.mark.parametrize(
     "matrix",
-    [[[math.inf, 1], [1, 0]], [[math.nan, 1], [1, 0]], np.array([[0, 1j], [1j, 0]])],
-    ids=["inf", "nan", "complex"],
+    [[[math.inf, 1], [1, 0]], [[math.nan, 1], [1, 0]], np.array([[0, 1j], [1j, 0]]),
+     np.array([[0, 1j], [1j, 0]], dtype=object), np.array([[0, "a"], ["a", 0]], dtype=object)],
+    ids=["inf", "nan", "complex", "object-complex", "object-string"],
 )
 def test_non_finite_or_complex_input_is_a_precondition_error(matrix):
     # raised before the symmetry test, which reads NaN as asymmetric, and

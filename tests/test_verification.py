@@ -141,16 +141,16 @@ def test_sampled_sweep_is_the_evenly_spaced_picks_of_the_listed_order(monkeypatc
     # the sweep is sampled from the count while the specs stream, so it must
     # keep exactly the specs that indexing the whole list would pick
     built = []
-    original = verification.build_multipartite
+    original = verification._multipartite_adjacency
 
-    def recording(parts):
-        built.append(parts)
-        return original(parts)
+    def recording(specs):
+        built.extend(specs)
+        return original(specs)
 
-    monkeypatch.setattr(verification, "build_multipartite", recording)
+    monkeypatch.setattr(verification, "_multipartite_adjacency", recording)
     assert es.verify_equienergetic(7).passed
     # order 28: the partners K_{7+i,7,7,7-i} for i = 1..5, then the sweep
-    order28 = [s for s in built if isinstance(s, es.MultipartiteSpec) and s.n == 28]
+    order28 = [s for s in built if s.n == 28]
     listed = list(verification._connected_partitions(28, smallest=2))
     picks = np.unique(np.linspace(0, len(listed) - 1, 400).round().astype(int))
     assert order28[5:] == [listed[i] for i in picks]
@@ -281,6 +281,19 @@ def test_char_poly_of_a_nilpotent_matrix_is_a_power_of_x(rows, lower):
     assert np.array_equal(u @ u_inv, np.eye(k, dtype=np.int64))
     for m in (n, u @ n @ u_inv):
         assert verification._char_poly(m) == char_poly_by_leibniz(m) == [1] + [0] * k
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_char_poly_of_the_sweep_quotients_matches_the_leibniz_oracle(n):
+    # the integer quotients verify_closed_forms feeds in, built the same way
+    for spec in es.enumerate_partitions(n, connected_only=True):
+        if spec.parts[-1] > 1:
+            continue
+        large = [size for size in spec.parts if size >= 2]
+        classes = np.split(np.arange(n), np.cumsum(large))
+        matrix = es.eccentricity_matrix(es.build_multipartite(spec)).matrix
+        q = es.quotient_matrix(matrix, classes)[0].astype(np.int64)
+        assert verification._char_poly(q) == char_poly_by_leibniz(q)
 
 
 def test_char_poly_of_zero_and_small_matrices():
