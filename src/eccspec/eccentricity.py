@@ -4,8 +4,11 @@ The eccentricity matrix keeps a distance entry d(u,v) only when it equals
 min(ecc(u), ecc(v)) and zeroes it otherwise.  For connected graphs of diameter
 2 whose maximum degree is below n-1 the matrix is exactly twice the adjacency
 matrix of the complement, which gives a cheap independent construction route.
-The defining rule is one kernel that zeroes a stack of distance matrices in
-place; eccentricity_matrix applies it to a stack of one.
+Each route is one kernel over a stack of equal-order graphs: the defining rule
+zeroes a stack of distance matrices in place, and the complement route
+confirms its preconditions on an adjacency stack with one squaring.
+eccentricity_matrix and ecc_via_complement apply them to a stack of one, and
+verify_lemma2 applies both to the same stacks.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolatedError
-from .graphs import Graph, all_pairs_distances, complement
+from .graphs import Graph, _seidel, all_pairs_distances
 
 PROVENANCE_DEFINITION = "definition"
 PROVENANCE_COMPLEMENT = "complement"
@@ -52,14 +55,37 @@ def eccentricity_matrix(g: Graph) -> EccentricityMatrix:
     return EccentricityMatrix(_freeze(kept), PROVENANCE_DEFINITION)
 
 
+def _complement_stack(adjacency: np.ndarray) -> np.ndarray:
+    """Doubled complements 2*A(complement), int64, of a (k, n, n) adjacency
+    stack whose members all have diameter 2 and maximum degree below n-1.
+
+    One float32 squaring confirms that every member joins each pair within
+    distance 2 and is not complete, which together mean diameter exactly 2;
+    row sums bound the degrees.  The first member without diameter 2 goes
+    through the Seidel kernel alone, so the errors come as for one graph:
+    DisconnectedGraphError, then the diameter error, then the degree error.
+    """
+    count, n, _ = adjacency.shape
+    # each product entry counts common neighbours, at most n - 1 < 2^24
+    reach = adjacency.astype(np.float32)
+    near = reach @ reach > 0
+    del reach
+    near |= adjacency
+    near.reshape(count, n * n)[:, ::n + 1] = True
+    degrees = adjacency.sum(axis=2)
+    complete = degrees.min(axis=1) == n - 1
+    failed = np.flatnonzero(complete | ~near.reshape(count, n * n).all(axis=1))
+    if failed.size:
+        diameter = int(_seidel(adjacency[failed[0], None]).max())
+        raise PreconditionViolatedError(f"shortcut needs diameter exactly 2, got {diameter}")
+    if (degrees.max(axis=1) == n - 1).any():
+        raise PreconditionViolatedError("shortcut needs maximum degree < n-1")
+    doubled = np.where(adjacency, np.int64(0), np.int64(2))
+    doubled.reshape(count, n * n)[:, ::n + 1] = 0
+    return doubled
+
+
 def ecc_via_complement(g: Graph) -> EccentricityMatrix:
     """Shortcut 2*A(complement) for diameter-2 graphs with max degree < n-1."""
-    dm = all_pairs_distances(g)
-    if dm.diameter != 2:
-        raise PreconditionViolatedError(
-            f"shortcut needs diameter exactly 2, got {dm.diameter}"
-        )
-    if int(g.degrees().max()) == g.n - 1:
-        raise PreconditionViolatedError("shortcut needs maximum degree < n-1")
-    doubled = 2 * complement(g).adjacency.astype(np.int64)
+    doubled = _complement_stack(g.adjacency[None])[0]
     return EccentricityMatrix(_freeze(doubled), PROVENANCE_COMPLEMENT)

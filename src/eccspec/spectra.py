@@ -69,7 +69,9 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         trailing = a[rows, k + 1:, k + 1:]
         p = trailing @ column
         w = p - (0.5 * (v @ p)) * column
-        trailing -= column * w.swapaxes(1, 2) + w * v
+        update = column * w.swapaxes(1, 2)
+        update += w * v
+        trailing -= update
         if reflected < count:
             a[rows, k + 1:, k + 1:] = trailing  # fancy indexing made a copy
         # row k is finished: its first entry past the diagonal becomes the
@@ -167,8 +169,10 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         raise NonSymmetricInputError("matrix is not symmetric")
     if not work.size:
         return np.empty(m.shape[:-1])
-    exponents = np.frexp(np.abs(work).max(axis=(1, 2)))[1]
-    work = np.ldexp(work, -exponents[:, None, None])
+    # max |entry| per matrix, without a full-size copy for np.abs
+    largest = np.maximum(work.max(axis=(1, 2)), -work.min(axis=(1, 2)))
+    exponents = np.frexp(largest)[1]
+    np.ldexp(work, -exponents[:, None, None], out=work)
     diagonals, subdiagonals = _tridiagonalize(work)
     eigs = [
         sorted(_tridiagonal_ql(d, e), reverse=True)

@@ -3,17 +3,19 @@
 Each verifier enumerates integer partitions, builds the actual graphs, runs
 the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
-The equal-order specs of a sweep go through the chain in chunks of at most
-`_CHUNK`: one adjacency stack built from their class labels, one stacked
+The equal-order specs of a sweep go through the chain in stacks of at most
+`_STACK_CELLS` matrix entries (or of one matrix, when it alone is larger),
+so a stack holds more small matrices than large ones: one adjacency stack built from their class labels, one stacked
 Seidel run, one in-place eccentricity pass, with no Graph per spec.  Every
 numeric spectrum comes from one step, `_numeric_spectra`, which solves a
-chunk's matrices as one stack and checks each spectrum against the trace
-(zero) and Frobenius (squared norm) identities before handing it on, so
-findings keep the enumeration order.
+stack's matrices at once and checks each spectrum against the trace (zero)
+and Frobenius (squared norm) identities before handing it on, so findings
+keep the enumeration order.
 The equitable quotient of every spec with a singleton class, the complete
 graph included, is checked exactly: its integer characteristic polynomial
 must equal the closed form's quotient polynomial times the deflated factors.
-Lemma 2's doubled-complement identity is checked by verify_lemma2 alone.
+Lemma 2's doubled-complement identity is checked by verify_lemma2 alone, with
+the complement kernel on the same adjacency stacks.
 Findings land in a VerificationReport; a report passes exactly when its
 violations list is empty.
 """
@@ -32,10 +34,9 @@ from .closed_form import (
     multipartite_spectrum_closed,
     radius_upper_bound,
 )
-from .eccentricity import _eccentricity_stack, ecc_via_complement
+from .eccentricity import _complement_stack, _eccentricity_stack
 from .errors import PreconditionViolatedError
 from .graphs import (
-    Graph,
     MultipartiteSpec,
     _check_order,
     _multipartite_adjacency,
@@ -64,9 +65,9 @@ GROUP_CHECK_CAP = 400     # numeric energy checks per graph order in the
                           # equal-order equienergeticity sweep; exhaustive for
                           # orders up to 24, sampled beyond to keep big CLI
                           # sweeps responsive
-_CHUNK = 16               # matrices per stacked eigensolve: larger stacks
-                          # save little more call overhead and raise peak
-                          # memory
+_STACK_CELLS = 1 << 14    # matrix entries per stack, k * n^2: a stack of
+                          # small matrices spreads numpy's per-call cost
+                          # over many, and larger budgets raise peak memory
 _SWEEP_CAP = 100_000      # partitions one sweep order may enumerate
 
 
@@ -181,13 +182,19 @@ def _adjacency_stack(sources) -> np.ndarray:
 
 def _eccentricity_chunks(labelled):
     """Yield (chunk, adjacency stack, eccentricity stack) for the
-    (label, source) pairs of one order, at most _CHUNK at a time.
+    (label, source) pairs of one order n, max(1, _STACK_CELLS // n^2) at a
+    time; only the last chunk may be short.
 
     A source is a MultipartiteSpec or a Graph.  Each stack is built by one
     call per layer: adjacency, Seidel distances, eccentricity matrices.
     """
     pairs = iter(labelled)
-    while chunk := list(itertools.islice(pairs, _CHUNK)):
+    first = next(pairs, None)
+    if first is None:
+        return
+    size = max(1, _STACK_CELLS // first[1].n ** 2)
+    pairs = itertools.chain([first], pairs)
+    while chunk := list(itertools.islice(pairs, size)):
         adjacency = _adjacency_stack([source for _, source in chunk])
         yield chunk, adjacency, _eccentricity_stack(_seidel(adjacency))
 
@@ -197,9 +204,10 @@ def _numeric_spectra(report, labelled):
     pair, in order; the sources share one order.
 
     The module's only call into the eigensolver, so no numeric spectrum
-    escapes the oracle.  The matrices are built and solved in stacks of at
-    most _CHUNK, and the trace and Frobenius sums of a stack are reduced at
-    once; a pair's oracle findings are recorded just before it is yielded.
+    escapes the oracle.  The matrices are built and solved in the stacks of
+    _eccentricity_chunks, of at most _STACK_CELLS entries unless one matrix
+    alone is larger, and the trace and Frobenius sums of a stack are reduced
+    at once; a pair's oracle findings are recorded just before it is yielded.
     Each spectrum is grouped at matrix_spectrum's default tolerance.  The
     matrices are integer, so their squared norms are summed exactly in
     int64.
@@ -306,13 +314,18 @@ def verify_closed_forms(n: int) -> VerificationReport:
 
 def verify_lemma2(n: int) -> VerificationReport:
     """Entrywise identity ecc matrix == 2*A(complement) for every spec of n
-    whose classes all have size >= 2."""
+    whose classes all have size >= 2.
+
+    Both sides come from one adjacency stack: the eccentricity matrices by
+    definition, and the doubled complements from the kernel behind
+    ecc_via_complement, which confirms its preconditions for the whole stack.
+    """
     report = _sweep_report("complement_identity", n, smallest=2)
     specs = _connected_partitions(n, smallest=2)
     for chunk, adjacency, matrices in _eccentricity_chunks(_labelled(specs)):
-        for (spec, _), adj, matrix in zip(chunk, adjacency, matrices):
+        devs = np.abs(_complement_stack(adjacency) - matrices).max(axis=(1, 2))
+        for (spec, _), dev in zip(chunk, devs.astype(np.float64).tolist()):
             report.cases += 1
-            dev = float(np.max(np.abs(ecc_via_complement(Graph(adj)).matrix - matrix)))
             _record(report, dev)
             if dev != 0.0:
                 _violation(report, spec, "complement_identity", 0, dev)

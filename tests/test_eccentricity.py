@@ -1,8 +1,10 @@
 """Eccentricity matrix construction and the doubled-complement shortcut."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import eccspec as es
 import eccspec.eccentricity as eccentricity
@@ -115,6 +117,49 @@ def test_shortcut_preconditions():
         es.ecc_via_complement(path_graph(4))  # diameter 3
     with pytest.raises(DisconnectedGraphError):
         es.ecc_via_complement(es.build_multipartite([4]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_order_stacks(12))
+def test_complement_stack_doubles_each_complement(stack):
+    # the members of diameter 2 with no dominating vertex, against the
+    # defining rule on Floyd-Warshall distances
+    n = stack.shape[1]
+    keep = [floyd_warshall_distances(adj).max() == 2 and adj.sum(axis=1).max() < n - 1
+            for adj in stack]
+    assume(any(keep))
+    members = stack[keep]
+    doubled = eccentricity._complement_stack(members)
+    assert doubled.dtype == np.int64
+    for adj, row in zip(members, doubled):
+        assert np.array_equal(row, eccentricity_by_definition(adj))
+
+
+# order-6 members the shortcut refuses, with the error each raises alone:
+# two triangles, a path, K_6, and two with a vertex of degree n-1
+BAD_MEMBERS = [
+    pytest.param(es.Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+                 DisconnectedGraphError, "graph is disconnected", id="disconnected"),
+    pytest.param(path_graph(6), PreconditionViolatedError, "shortcut needs diameter exactly 2, got 5",
+                 id="diameter5"),
+    pytest.param(es.complete(6), PreconditionViolatedError, "shortcut needs diameter exactly 2, got 1",
+                 id="complete"),
+    pytest.param(es.build_multipartite([5, 1]), PreconditionViolatedError,
+                 "shortcut needs maximum degree < n-1", id="star"),
+    pytest.param(es.build_multipartite([2, 2, 1, 1]), PreconditionViolatedError,
+                 "shortcut needs maximum degree < n-1", id="dominating"),
+]
+
+
+@pytest.mark.parametrize("bad,error,message", BAD_MEMBERS)
+@pytest.mark.parametrize("position", range(4))
+def test_complement_stack_raises_as_its_bad_member_alone(bad, error, message, position):
+    with pytest.raises(error, match=re.escape(message)):
+        es.ecc_via_complement(bad)
+    good = [es.build_multipartite(parts).adjacency for parts in ([4, 2], [3, 3], [2, 2, 2])]
+    good.insert(position, bad.adjacency)
+    with pytest.raises(error, match=re.escape(message)):
+        eccentricity._complement_stack(np.stack(good))
 
 
 def test_matrix_invariants_on_random_connected_graphs():

@@ -177,8 +177,7 @@ FAULTS = [
                  es.verify_closed_forms, (5,), {"spectrum_size"}, id="spectrum_size"),
     pytest.param("quotient_matrix", lambda f: lambda m, classes: (f(m, classes)[0], False),
                  es.verify_closed_forms, (6,), {"quotient_equitable"}, id="quotient_equitable"),
-    pytest.param("ecc_via_complement",
-                 lambda f: lambda g: dataclasses.replace(f(g), matrix=f(g).matrix + 1),
+    pytest.param("_complement_stack", lambda f: lambda adjacency: f(adjacency) + 1,
                  es.verify_lemma2, (8,), {"complement_identity"}, id="complement_identity"),
     pytest.param("radius_upper_bound", lambda f: lambda n: f(n) - 1,
                  es.verify_bounds_and_extremals, (6,), {"radius_bound", "radius_attained"},
@@ -474,9 +473,11 @@ def test_pass_flag_tracks_violations():
 
 
 def test_theorem_1_sweep_leaves_the_complement_identity_to_lemma2(monkeypatch):
+    # counts the stack members Lemma 2's complement kernel sees
     calls = []
-    original = verification.ecc_via_complement
-    monkeypatch.setattr(verification, "ecc_via_complement", lambda g: calls.append(g) or original(g))
+    original = verification._complement_stack
+    monkeypatch.setattr(verification, "_complement_stack",
+                        lambda adjacency: calls.extend(adjacency) or original(adjacency))
     assert verification.verify_closed_forms(8).passed
     assert calls == []
     assert verification.verify_lemma2(8).passed
@@ -487,3 +488,42 @@ def test_lemma2_sweeps_every_spec_without_a_singleton():
     for n in range(4, 21):
         specs = es.enumerate_partitions(n, connected_only=True)
         assert verification.verify_lemma2(n).cases == sum(1 for s in specs if s.parts[-1] >= 2)
+
+
+# every sweep the stack budget reaches, with its arguments
+BUDGETED_RUNS = (
+    [(es.verify_closed_forms, n) for n in range(4, 11)]
+    + [(es.verify_bounds_and_extremals, n) for n in range(4, 11)]
+    + [(es.verify_lemma2, n) for n in range(4, 17)]
+    + [(es.verify_equienergetic, 4), (es.verify_equienergetic_pair, 3, 1)]
+)
+
+
+@pytest.mark.parametrize("cells", [1, 10**9])
+def test_reports_do_not_depend_on_the_stack_budget(monkeypatch, cells):
+    # stacks of one, and one stack per order, give the default's bytes
+    default = [runner(*args).to_json() for runner, *args in BUDGETED_RUNS]
+    monkeypatch.setattr(verification, "_STACK_CELLS", cells)
+    assert [runner(*args).to_json() for runner, *args in BUDGETED_RUNS] == default
+
+
+@pytest.mark.parametrize("cells", [verification._STACK_CELLS, 200])
+@pytest.mark.parametrize("name", ["symmetric_eigenvalues", "_complement_stack"])
+def test_stacks_fill_the_entry_budget(monkeypatch, cells, name):
+    # within one order every stack holds max(1, cells // n^2) members but the
+    # last, which may be short
+    monkeypatch.setattr(verification, "_STACK_CELLS", cells)
+    original = getattr(verification, name)
+    shapes = []
+    monkeypatch.setattr(verification, name, lambda stack: shapes.append(stack.shape) or original(stack))
+    stacks = 0
+    for runner, *args in BUDGETED_RUNS:
+        shapes.clear()
+        assert runner(*args).passed
+        stacks += len(shapes)
+        for n, group in itertools.groupby(shapes, key=lambda shape: shape[1]):
+            sizes = [k for k, *_ in group]
+            full = max(1, cells // n**2)
+            assert all(k * n**2 <= cells or k == 1 for k in sizes)
+            assert sizes[:-1] == [full] * (len(sizes) - 1) and 1 <= sizes[-1] <= full
+    assert stacks
