@@ -20,7 +20,7 @@ def main():
           f"radius cap {radius_cap:.4f}\n")
 
     rows = []
-    for spec in es.enumerate_partitions(n, connected_only=True):
+    for spec in es.enumerate_partitions(n):
         spectrum = es.matrix_spectrum(
             es.eccentricity_matrix(es.build_multipartite(spec)).matrix
         )

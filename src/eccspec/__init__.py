@@ -25,7 +25,6 @@ from .graphs import (
     antipodal_class,
     as_spec,
     build_multipartite,
-    complement,
     complete,
     star,
     strong_product,
@@ -36,7 +35,6 @@ from .spectra import (
     energy,
     group_spectrum,
     matrix_spectrum,
-    quotient_matrix,
     spectral_radius,
     symmetric_eigenvalues,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "antipodal_product_spectrum",
     "as_spec",
     "build_multipartite",
-    "complement",
     "complete",
     "ecc_via_complement",
     "eccentricity_matrix",
@@ -82,7 +79,6 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "quadratic_roots",
-    "quotient_matrix",
     "radius_upper_bound",
     "spectral_radius",
     "star",

@@ -60,10 +60,6 @@ class ClosedFormSpectrum:
     case_tag: str
     quotient_poly: tuple[int, ...] | None = None
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def eigenvalues(self) -> np.ndarray:
         """Expanded float eigenvalues, descending (entries are kept sorted)."""
         values = np.array([float(v) for v, _ in self.entries])
@@ -156,12 +152,13 @@ def _quotient_roots(distinct_sizes: list[tuple[int, int]], singles: int, poly: l
 def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
     """Exact eccentricity spectrum of the complete multipartite graph.
 
-    Part lists with a single class are rejected: they describe an edgeless
-    graph with no finite eccentricities.  So are orders above
-    MAX_CLOSED_ORDER, before any arithmetic.
+    A single class of two or more vertices is rejected: it describes an
+    edgeless graph with no finite eccentricities.  K_1, one singleton, takes
+    the singleton route and has the spectrum {0}.  Orders above
+    MAX_CLOSED_ORDER are rejected before any arithmetic.
     """
     spec = as_spec(parts)
-    if spec.p == 1:
+    if spec.p == 1 and spec.n > 1:
         raise DisconnectedSpecError(
             f"{spec} has a single class and therefore no edges"
         )

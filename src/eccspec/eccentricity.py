@@ -7,7 +7,8 @@ matrix of the complement, which gives a cheap independent construction route.
 Each route is one kernel over a stack of equal-order graphs: the defining rule
 zeroes a stack of distance matrices in place, and the complement route
 confirms its preconditions on an adjacency stack with one squaring.
-eccentricity_matrix and ecc_via_complement apply them to a stack of one, and
+eccentricity_matrix and ecc_via_complement apply them to a stack of one and
+return the same read-only int64 EccentricityMatrix, whichever route built it;
 verify_lemma2 applies both to the same stacks.
 """
 
@@ -18,16 +19,12 @@ import numpy as np
 from .errors import PreconditionViolatedError
 from .graphs import Graph, _seidel, all_pairs_distances
 
-PROVENANCE_DEFINITION = "definition"
-PROVENANCE_COMPLEMENT = "complement"
-
 
 @dataclass(frozen=True)
 class EccentricityMatrix:
-    """Integer eccentricity matrix plus the construction that produced it."""
+    """Read-only int64 eccentricity matrix of one graph."""
 
     matrix: np.ndarray
-    provenance: str
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -52,7 +49,7 @@ def _eccentricity_stack(dist: np.ndarray) -> np.ndarray:
 def eccentricity_matrix(g: Graph) -> EccentricityMatrix:
     """Entry (u,v) is d(u,v) when d(u,v) = min(ecc(u), ecc(v)), else 0."""
     kept = _eccentricity_stack(all_pairs_distances(g).matrix[None].copy())[0]
-    return EccentricityMatrix(_freeze(kept), PROVENANCE_DEFINITION)
+    return EccentricityMatrix(_freeze(kept))
 
 
 def _complement_stack(adjacency: np.ndarray) -> np.ndarray:
@@ -88,4 +85,4 @@ def _complement_stack(adjacency: np.ndarray) -> np.ndarray:
 def ecc_via_complement(g: Graph) -> EccentricityMatrix:
     """Shortcut 2*A(complement) for diameter-2 graphs with max degree < n-1."""
     doubled = _complement_stack(g.adjacency[None])[0]
-    return EccentricityMatrix(_freeze(doubled), PROVENANCE_COMPLEMENT)
+    return EccentricityMatrix(_freeze(doubled))

@@ -24,7 +24,8 @@ class InvalidSpecError(EccspecError):
 
 
 class DisconnectedSpecError(InvalidSpecError):
-    """A part list with a single class describes an edgeless graph."""
+    """A part list with a single class of size >= 2 describes an edgeless,
+    disconnected graph."""
 
 
 class NonSymmetricInputError(EccspecError):
@@ -33,10 +34,6 @@ class NonSymmetricInputError(EccspecError):
 
 class ConvergenceFailureError(EccspecError):
     """The eigensolver hit its iteration cap; signals a bug, not bad data."""
-
-
-class InvalidPartitionError(EccspecError):
-    """An index partition does not cover the index set disjointly."""
 
 
 class EmptySpectrumError(EccspecError):

@@ -75,13 +75,6 @@ class Graph:
             adj[u, v] = adj[v, u] = True
         return cls(adj)
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self.adjacency))
         return list(zip(us.tolist(), vs.tolist()))
@@ -92,7 +85,7 @@ class Graph:
         return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def __repr__(self):
-        return f"Graph(n={self.n}, edges={self.num_edges})"
+        return f"Graph(n={self.n}, edges={np.count_nonzero(self.adjacency) // 2})"
 
 
 @dataclass(frozen=True)
@@ -164,12 +157,6 @@ def complete(n: int) -> Graph:
 def star(n: int) -> Graph:
     """Star on n vertices: n-1 leaves joined to one centre."""
     return build_multipartite([n - 1, 1])
-
-
-def complement(g: Graph) -> Graph:
-    adj = ~g.adjacency
-    np.fill_diagonal(adj, False)
-    return Graph(adj)
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:

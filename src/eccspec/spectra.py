@@ -17,13 +17,11 @@ import numpy as np
 from .errors import (
     ConvergenceFailureError,
     EmptySpectrumError,
-    InvalidPartitionError,
     NonSymmetricInputError,
     PreconditionViolatedError,
 )
 
 QL_ITERATION_CAP = 100
-GROUPING_TOL_SCALE = 1e-8
 _EPS = math.ulp(1.0)  # float64 machine epsilon
 _NEGLIGIBLE_SQ = _EPS * _EPS
 
@@ -214,7 +212,7 @@ def group_spectrum(eigenvalues, tol: float) -> Spectrum:
 
 def _grouping_tol(frobenius_sq: float) -> float:
     # the default grouping tolerance 1e-8*max(1, ||M||_F), from ||M||_F^2
-    return GROUPING_TOL_SCALE * max(1.0, math.sqrt(frobenius_sq))
+    return 1e-8 * max(1.0, math.sqrt(frobenius_sq))
 
 
 def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:
@@ -241,35 +239,3 @@ def spectral_radius(spectrum: Spectrum) -> float:
     if spectrum.n == 0:
         raise EmptySpectrumError("spectral radius of an empty spectrum")
     return max(abs(spectrum.eigenvalues[0]), abs(spectrum.eigenvalues[-1]))
-
-
-def quotient_matrix(matrix, partition) -> tuple[np.ndarray, bool]:
-    """Block-average quotient of a square matrix under an index partition.
-
-    Returns (Q, is_equitable) where Q[i][j] is the average row sum of block
-    (i, j) and the flag records whether every block has constant row sums.
-    With P the float64 class-indicator matrix, Q = P^T (M P) / class sizes,
-    and the partition is equitable iff each row of M P equals its class
-    head's.  Float64 accumulation makes bool input count rather than OR; the
-    exact equality test is right for the integer matrices fed in here.
-    """
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidPartitionError("matrix must be square")
-    n = m.shape[0]
-    classes = [np.asarray(sorted(int(i) for i in cls), dtype=np.intp) for cls in partition]
-    if any(len(cls) == 0 for cls in classes):
-        raise InvalidPartitionError("partition classes must be non-empty")
-    flat = np.concatenate(classes) if classes else np.empty(0, dtype=np.intp)
-    if len(flat) != n or not np.array_equal(np.sort(flat), np.arange(n)):
-        raise InvalidPartitionError("classes must cover all indices exactly once")
-    sizes = np.array([len(cls) for cls in classes], dtype=np.intp)
-    class_of = np.empty(n, dtype=np.intp)
-    class_of[flat] = np.repeat(np.arange(len(classes)), sizes)
-    indicator = np.zeros((n, len(classes)))
-    indicator[np.arange(n), class_of] = 1.0
-    block_sums = m @ indicator
-    heads = np.array([cls[0] for cls in classes], dtype=np.intp)
-    equitable = bool(np.array_equal(block_sums, block_sums[heads[class_of]]))
-    return indicator.T @ block_sums / sizes[:, None], equitable
-

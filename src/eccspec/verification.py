@@ -5,15 +5,19 @@ the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
 The equal-order specs of a sweep go through the chain in stacks of at most
 `_STACK_CELLS` matrix entries (or of one matrix, when it alone is larger),
-so a stack holds more small matrices than large ones: one adjacency stack built from their class labels, one stacked
-Seidel run, one in-place eccentricity pass, with no Graph per spec.  Every
-numeric spectrum comes from one step, `_numeric_spectra`, which solves a
-stack's matrices at once and checks each spectrum against the trace (zero)
-and Frobenius (squared norm) identities before handing it on, so findings
-keep the enumeration order.
+so a stack holds more small matrices than large ones: one adjacency stack
+built from their class labels, one stacked Seidel run, one in-place
+eccentricity pass, with no Graph per spec.  Every numeric spectrum comes
+from one step, `_numeric_spectra`, which solves a stack's matrices at once
+and checks each spectrum against the trace (zero) and Frobenius (squared
+norm) identities before handing it on, so findings keep the enumeration
+order.
 The equitable quotient of every spec with a singleton class, the complete
-graph included, is checked exactly: its integer characteristic polynomial
-must equal the closed form's quotient polynomial times the deflated factors.
+graph included, is checked exactly: `_block_quotient` sums the int64
+eccentricity matrix over the classes as the adjacency kernel lays them out
+(each large class, then the clique), and the quotient's integer
+characteristic polynomial must equal the closed form's quotient polynomial
+times the deflated factors.
 Lemma 2's doubled-complement identity is checked by verify_lemma2 alone, with
 the complement kernel on the same adjacency stacks.
 Findings land in a VerificationReport; a report passes exactly when its
@@ -49,7 +53,6 @@ from .spectra import (
     _grouping_tol,
     energy,
     group_spectrum,
-    quotient_matrix,
     spectral_radius,
     symmetric_eigenvalues,
 )
@@ -101,16 +104,14 @@ class VerificationReport:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def enumerate_partitions(n: int, connected_only: bool = False) -> list[MultipartiteSpec]:
-    """All partitions of n in non-increasing order, largest-first ordering.
-
-    With connected_only=True the single-class partition [n] is dropped, since
-    it names an edgeless graph.
+def enumerate_partitions(n: int) -> list[MultipartiteSpec]:
+    """The partitions of n into two or more classes, each in non-increasing
+    order, largest first: the connected complete multipartite graphs of
+    order n.  The edgeless single class [n] is not among them.
     """
     if n < 1:
         raise ValueError(f"partitions need n >= 1, got {n}")
-    specs = list(_connected_partitions(n))
-    return specs if connected_only else [MultipartiteSpec((n,)), *specs]
+    return list(_connected_partitions(n))
 
 
 def _connected_partitions(n: int, smallest: int = 1):
@@ -243,6 +244,21 @@ def _char_poly(a) -> list[int]:
     return coeffs
 
 
+def _block_quotient(matrix: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, bool]:
+    """Exact quotient of an integer matrix over contiguous index classes of
+    the given sizes, in order, and whether the partition is equitable.
+
+    One reduceat sums each row over every class; Q holds those block sums
+    for the first row of each class, and the partition is equitable iff
+    every row's block sums equal its class head's.  The sums stay in the
+    matrix's integer dtype.
+    """
+    starts = np.cumsum([0, *sizes[:-1]])
+    block_sums = np.add.reduceat(matrix, starts, axis=1)
+    q = block_sums[starts]
+    return q, bool(np.array_equal(block_sums, np.repeat(q, sizes, axis=0)))
+
+
 def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport:
     if n < 4:
         raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
@@ -296,8 +312,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
         # the adjacency kernel lays classes out largest first: each large
         # class, then the singletons, merged into one clique class
         large = [size for size in spec.parts if size >= 2]
-        classes = np.split(np.arange(spec.n), np.cumsum(large))
-        q, equitable = quotient_matrix(matrix, classes)
+        q, equitable = _block_quotient(matrix, [*large, spec.n - sum(large)])
         if not equitable:
             _violation(report, spec, "quotient_equitable", True, False)
             continue
@@ -305,7 +320,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
         for prev, size in zip(large, large[1:]):
             if size == prev:
                 expected = _times_linear(expected, 2 * (size - 1))
-        actual = _char_poly(q.astype(np.int64))
+        actual = _char_poly(q)
         if actual != expected:
             _violation(report, spec, "quotient_char_poly", expected, actual)
     report.witnesses["partitions_checked"] = report.cases

@@ -153,6 +153,15 @@ def test_verify_emits_schema_conformant_json(capsys):
     assert payload["pass"] is True and payload["cases"] == 10
 
 
+@pytest.mark.parametrize("command", ["spectrum", "energy"])
+def test_k1_takes_the_closed_route_like_the_numeric_one(capsys, command):
+    # K_1 is one singleton, not an edgeless class: both routes print {0}
+    code, closed_out, err = run(capsys, command, "--parts", "1")
+    assert (code, err) == (0, "")
+    assert run(capsys, command, "--parts", "1", "--numeric") == (0, closed_out, "")
+    assert closed_out == {"spectrum": "0 1\n", "energy": "0\n"}[command]
+
+
 @pytest.mark.parametrize("parts", ["4,2,2,1,1", "4,3,3,1,1", "6,2,2,2,1"])
 def test_closed_route_groups_match_the_numeric_route(capsys, parts):
     # integer quotient roots used to print as a second, split group
@@ -279,6 +288,7 @@ def test_identical_invocations_are_byte_identical(capsys):
         ["spectrum", "--g6", "D?{", "--tol", "nan"],
         ["spectrum", "--g6", "D?{", "--tol", "inf"],
         ["spectrum", "--g6", "D?{", "--tol", "-1"],
+        ["spectrum", "--parts", "2"],
     ],
 )
 def test_input_errors_exit_with_code_two(capsys, argv):

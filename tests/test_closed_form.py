@@ -66,7 +66,7 @@ def test_mixed_case_with_two_large_classes():
 
 def test_one_distinct_large_size_is_exact():
     for n in range(2, 15):
-        for spec in es.enumerate_partitions(n, connected_only=True):
+        for spec in es.enumerate_partitions(n):
             if len({size for size in spec.parts if size >= 2}) > 1:
                 continue
             closed = es.multipartite_spectrum_closed(spec)
@@ -105,7 +105,7 @@ def test_twenty_distinct_class_sizes_match_the_eigensolver():
 
 def test_two_hundred_distinct_class_sizes():
     closed = es.multipartite_spectrum_closed(range(200, 0, -1))
-    assert closed.total_multiplicity == 20100
+    assert sum(m for _, m in closed.entries) == 20100
     assert f"{closed.energy():.12g}" == "79735.9197839"
 
 
@@ -141,7 +141,7 @@ def test_quotient_poly_is_carried_only_on_the_singleton_route():
 @pytest.mark.parametrize("top", [22, 25])
 def test_high_degree_quotients_give_a_full_spectrum(top):
     closed = es.multipartite_spectrum_closed(range(top, 0, -1))
-    assert closed.total_multiplicity == top * (top + 1) // 2
+    assert sum(m for _, m in closed.entries) == top * (top + 1) // 2
     assert closed.trace() == pytest.approx(0, abs=1e-9)
 
 
@@ -170,7 +170,7 @@ def test_closed_form_matches_the_numeric_route_beyond_twenty(parts):
 
 def test_every_partition_matches_numerically_up_to_eight():
     for n in range(2, 9):
-        for spec in es.enumerate_partitions(n, connected_only=True):
+        for spec in es.enumerate_partitions(n):
             closed = es.multipartite_spectrum_closed(spec)
             assert np.allclose(
                 closed.eigenvalues(), numeric_spectrum(spec), atol=1e-9
@@ -184,6 +184,15 @@ def test_rejections_and_flags():
         es.multipartite_spectrum_closed([])
 
 
+def test_k1_takes_the_singleton_route():
+    closed = es.multipartite_spectrum_closed([1])
+    assert closed.entries == ((0, 1),) and type(closed.entries[0][0]) is int
+    assert closed.case_tag == closed_form.CASE_SPLIT_MIXED
+    assert closed.quotient_poly == (1, 0)
+    with pytest.raises(DisconnectedSpecError):
+        es.multipartite_spectrum_closed([2])
+
+
 def test_trace_vanishes_exactly():
     for parts in ([3, 1], [2, 2], [1, 1, 1, 1, 1], [4, 1, 1], [5, 3]):
         assert es.multipartite_spectrum_closed(parts).trace() == 0
@@ -193,8 +202,8 @@ def test_trace_vanishes_exactly():
 
 def test_multiplicities_sum_to_the_order():
     for n in range(2, 10):
-        for spec in es.enumerate_partitions(n, connected_only=True):
-            assert es.multipartite_spectrum_closed(spec).total_multiplicity == n
+        for spec in es.enumerate_partitions(n):
+            assert sum(m for _, m in es.multipartite_spectrum_closed(spec).entries) == n
 
 
 @pytest.mark.parametrize("n", range(4, 51))
@@ -376,7 +385,7 @@ def test_closed_form_rejects_orders_past_its_bound_before_any_arithmetic(monkeyp
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_eigenvalues_expand_the_sorted_entries(n):
-    for spec in es.enumerate_partitions(n, connected_only=True):
+    for spec in es.enumerate_partitions(n):
         closed = es.multipartite_spectrum_closed(spec)
         expanded = sorted((float(v) for v, m in closed.entries for _ in range(m)), reverse=True)
         assert closed.eigenvalues().tolist() == expanded

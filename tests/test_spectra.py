@@ -10,12 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eccspec as es
-from eccspec import spectra
+from eccspec import spectra, verification
 from helpers import jacobi_eigenvalues, quotient_matrix_loop
 from eccspec.errors import (
     ConvergenceFailureError,
     EmptySpectrumError,
-    InvalidPartitionError,
     NonSymmetricInputError,
     PreconditionViolatedError,
 )
@@ -142,7 +141,7 @@ def assert_matches_both_oracles(m):
 def test_every_connected_partition_up_to_ten():
     checked = 0
     for n in range(2, 11):
-        for spec in es.enumerate_partitions(n, connected_only=True):
+        for spec in es.enumerate_partitions(n):
             assert_matches_both_oracles(ecc(spec))
             checked += 1
     assert checked == 128  # sum of p(n) - 1 over n = 2..10
@@ -193,8 +192,8 @@ def assert_stack_matches_singles(stack):
 def test_stacked_solves_match_single_solves_on_the_sweep_matrices():
     # every connected partition with n <= 16, one stack per order, and the
     # order-24 specs of the equal-order sweep (every class of size >= 2)
-    orders = {n: es.enumerate_partitions(n, connected_only=True) for n in range(2, 17)}
-    orders[24] = [s for s in es.enumerate_partitions(24, connected_only=True) if min(s.parts) >= 2]
+    orders = {n: es.enumerate_partitions(n) for n in range(2, 17)}
+    orders[24] = [s for s in es.enumerate_partitions(24) if min(s.parts) >= 2]
     assert len(orders[24]) == 319
     for specs in orders.values():
         assert_stack_matches_singles(np.stack([ecc(spec) for spec in specs]))
@@ -321,81 +320,73 @@ def test_empty_spectrum_has_no_radius():
         es.spectral_radius(es.group_spectrum([], tol=1e-8))
 
 
-# quotient matrices
+# the verification sweep's exact quotient over contiguous classes
 
 
 def test_split_graph_quotient_is_equitable():
     m = ecc([3, 1, 1])  # independent set of 3 joined to a clique of 2
-    q, equitable = es.quotient_matrix(m, [[0, 1, 2], [3, 4]])
+    q, equitable = verification._block_quotient(m, [3, 2])
     assert equitable
-    assert q.tolist() == [[4.0, 2.0], [3.0, 1.0]]
+    assert q.dtype == np.int64 and q.tolist() == [[4, 2], [3, 1]]
 
 
-def test_bool_adjacency_quotient_counts_neighbours():
-    # a bool-by-bool product would OR the block entries instead of counting
-    adjacency = es.build_multipartite([3, 2]).adjacency
-    assert adjacency.dtype == bool
-    q, equitable = es.quotient_matrix(adjacency, [[0, 1, 2], [3, 4]])
-    assert equitable
-    assert q.tolist() == [[0.0, 2.0], [3.0, 0.0]]
-
-
-@given(st.data())
-def test_quotient_matches_the_block_loop(data):
-    n = data.draw(st.integers(min_value=1, max_value=7))
-    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    classes = data.draw(st.permutations(
-        [[v for v in range(n) if labels[v] == c] for c in sorted(set(labels))]))
-    if data.draw(st.booleans()):
-        m = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+@st.composite
+def contiguous_layouts(draw):
+    # class sizes in layout order and an int64 matrix that is constant on
+    # every block (equitable), arbitrary, or block-constant but for one
+    # entry in a row below its class head (not equitable)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n, k = sum(sizes), len(sizes)
+    labels = np.repeat(np.arange(k), sizes)
+    kind = draw(st.sampled_from(["equitable", "arbitrary", "one_row_off"]))
+    if kind == "arbitrary":
+        m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
         m = m.reshape(n, n)
     else:
-        # constant on every block, hence equitable
-        block = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
-        m = block.reshape(n, n)[np.ix_(labels, labels)]
-    m = m.astype(data.draw(st.sampled_from([np.int64, bool])))
-    q, equitable = es.quotient_matrix(m, classes)
+        block = np.array(draw(st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k)))
+        m = block.reshape(k, k)[np.ix_(labels, labels)]
+        if kind == "one_row_off":
+            starts = np.cumsum([0, *sizes[:-1]])
+            rows = [r for r in range(n) if r not in starts]
+            if rows:
+                m[draw(st.sampled_from(rows)), draw(st.integers(0, n - 1))] += 1
+    return sizes, m.astype(np.int64)
+
+
+@given(contiguous_layouts())
+def test_quotient_matches_the_block_loop(layout):
+    sizes, m = layout
+    classes = np.split(np.arange(len(m)), np.cumsum(sizes[:-1]))
+    q, equitable = verification._block_quotient(m, sizes)
     q_loop, equitable_loop = quotient_matrix_loop(m, classes)
-    assert np.array_equal(q, q_loop)
     assert equitable == equitable_loop
+    assert q.dtype == np.int64
+    # Q is the head rows' block sums, which are the block averages exactly
+    # when the partition is equitable
+    assert q.tolist() == [[int(m[ci[0], cj].sum()) for cj in classes] for ci in classes]
+    if equitable:
+        assert np.array_equal(q, q_loop)
 
 
 def test_all_singletons_quotient_returns_the_matrix():
     m = ecc([2, 2])
-    q, equitable = es.quotient_matrix(m, [[0], [1], [2], [3]])
+    q, equitable = verification._block_quotient(m, [1, 1, 1, 1])
     assert equitable
-    assert np.array_equal(q, m.astype(float))
+    assert np.array_equal(q, m)
 
 
 def test_path_block_partition_is_not_equitable():
     g = es.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     m = es.eccentricity_matrix(g).matrix
-    _, equitable = es.quotient_matrix(m, [[0, 1], [2, 3]])
+    _, equitable = verification._block_quotient(m, [2, 2])
     assert not equitable
-
-
-def test_quotient_partition_validation():
-    m = ecc([2, 2])
-    with pytest.raises(InvalidPartitionError):
-        es.quotient_matrix(m, [[0, 1], [1, 2, 3]])
-    with pytest.raises(InvalidPartitionError):
-        es.quotient_matrix(m, [[0, 1], [2]])
-    with pytest.raises(InvalidPartitionError):
-        es.quotient_matrix(m, [[0, 1], [], [2, 3]])
 
 
 def test_equitable_quotient_spectrum_sits_inside_full_spectrum():
     for parts in ([3, 1, 1], [4, 1], [2, 2, 1], [3, 2, 1, 1]):
-        spec = es.as_spec(parts)
         m = ecc(parts)
-        classes = []
-        start = 0
-        for size in spec.parts:
-            classes.append(list(range(start, start + size)))
-            start += size
-        q, equitable = es.quotient_matrix(m, classes)
+        q, equitable = verification._block_quotient(m, list(es.as_spec(parts).parts))
         assert equitable
         full = es.symmetric_eigenvalues(m)
         for lam in np.linalg.eigvals(q).real:
             assert np.min(np.abs(full - lam)) < 1e-8
-

@@ -23,7 +23,8 @@ PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 
 
 def test_enumerate_partitions_of_four_in_order():
-    specs = es.enumerate_partitions(4)
+    # the edgeless single class [4] is kept ahead of the list
+    specs = [es.MultipartiteSpec((4,)), *es.enumerate_partitions(4)]
     assert [list(s.parts) for s in specs] == [
         [4],
         [3, 1],
@@ -34,8 +35,9 @@ def test_enumerate_partitions_of_four_in_order():
 
 
 def test_enumerate_partitions_counts_match_the_table():
+    # p(n) counts the single class [n] too
     for n, expected in enumerate(PARTITION_COUNTS, start=1):
-        assert len(es.enumerate_partitions(n)) == expected
+        assert len([es.MultipartiteSpec((n,)), *es.enumerate_partitions(n)]) == expected
 
 
 @pytest.mark.parametrize("smallest", [1, 2])
@@ -53,15 +55,15 @@ def test_sweep_cap_counts_match_the_table(monkeypatch, smallest):
 
 def test_enumerate_partitions_unique_and_sorted():
     specs = es.enumerate_partitions(10)
-    assert len(set(specs)) == len(specs) == 42
+    assert len(set(specs)) == len(specs) == 41
     for spec in specs:
         assert list(spec.parts) == sorted(spec.parts, reverse=True)
 
 
-def test_enumerate_partitions_connected_only_drops_single_class():
-    assert len(es.enumerate_partitions(10, connected_only=True)) == 41
-    assert es.enumerate_partitions(1) == [es.MultipartiteSpec((1,))]
-    assert es.enumerate_partitions(1, connected_only=True) == []
+def test_enumerate_partitions_have_two_or_more_classes():
+    assert all(spec.p >= 2 for n in range(1, 15) for spec in es.enumerate_partitions(n))
+    assert es.MultipartiteSpec((10,)) not in es.enumerate_partitions(10)
+    assert es.enumerate_partitions(1) == []
     with pytest.raises(ValueError):
         es.enumerate_partitions(0)
 
@@ -69,7 +71,7 @@ def test_enumerate_partitions_connected_only_drops_single_class():
 @pytest.mark.parametrize("smallest", [2, 3])
 def test_connected_partitions_with_a_smallest_part_match_the_filtered_list(smallest):
     for n in range(1, 25):
-        expected = [s for s in es.enumerate_partitions(n, connected_only=True)
+        expected = [s for s in es.enumerate_partitions(n)
                     if min(s.parts) >= smallest]
         assert list(verification._connected_partitions(n, smallest)) == expected
 
@@ -175,7 +177,7 @@ def _split_zero_entry(closed):
 FAULTS = [
     pytest.param("multipartite_spectrum_closed", lambda f: lambda spec: _drop_last_eigenvalue(f(spec)),
                  es.verify_closed_forms, (5,), {"spectrum_size"}, id="spectrum_size"),
-    pytest.param("quotient_matrix", lambda f: lambda m, classes: (f(m, classes)[0], False),
+    pytest.param("_block_quotient", lambda f: lambda m, sizes: (f(m, sizes)[0], False),
                  es.verify_closed_forms, (6,), {"quotient_equitable"}, id="quotient_equitable"),
     pytest.param("_complement_stack", lambda f: lambda adjacency: f(adjacency) + 1,
                  es.verify_lemma2, (8,), {"complement_identity"}, id="complement_identity"),
@@ -285,13 +287,13 @@ def test_char_poly_of_a_nilpotent_matrix_is_a_power_of_x(rows, lower):
 @pytest.mark.parametrize("n", range(4, 10))
 def test_char_poly_of_the_sweep_quotients_matches_the_leibniz_oracle(n):
     # the integer quotients verify_closed_forms feeds in, built the same way
-    for spec in es.enumerate_partitions(n, connected_only=True):
+    for spec in es.enumerate_partitions(n):
         if spec.parts[-1] > 1:
             continue
         large = [size for size in spec.parts if size >= 2]
-        classes = np.split(np.arange(n), np.cumsum(large))
         matrix = es.eccentricity_matrix(es.build_multipartite(spec)).matrix
-        q = es.quotient_matrix(matrix, classes)[0].astype(np.int64)
+        q, equitable = verification._block_quotient(matrix, [*large, n - sum(large)])
+        assert equitable and q.dtype == np.int64
         assert verification._char_poly(q) == char_poly_by_leibniz(q)
 
 
@@ -317,7 +319,7 @@ def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
     checks = {v["check"] for v in report.violations}
     assert checks == {"quotient_char_poly"}
     flagged = [v["spec"] for v in report.violations]
-    mixed = [list(s.parts) for s in es.enumerate_partitions(6, connected_only=True)
+    mixed = [list(s.parts) for s in es.enumerate_partitions(6)
              if min(s.parts) == 1]
     assert flagged == mixed
     first = report.violations[0]
@@ -359,7 +361,7 @@ def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
     assert [2, 2, "x", 2] in flagged
     # [2, 2, 2, 2] is both the partner and one of the order-8 sweep specs
     assert flagged.count([2, 2, 2, 2]) == 2
-    sweep = [list(s.parts) for s in es.enumerate_partitions(8, connected_only=True) if min(s.parts) >= 2]
+    sweep = [list(s.parts) for s in es.enumerate_partitions(8) if min(s.parts) >= 2]
     assert len(sweep) == 6
     assert all(parts in flagged for parts in sweep)
     # product, partner, then the six sweep specs in one stack of eight
@@ -431,7 +433,7 @@ def test_oracle_findings_keep_the_enumeration_order(monkeypatch):
     original = verification.symmetric_eigenvalues
     monkeypatch.setattr(verification, "symmetric_eigenvalues", lambda m: original(m) + 1)
     report = es.verify_closed_forms(8)
-    specs = [list(s.parts) for s in es.enumerate_partitions(8, connected_only=True)]
+    specs = [list(s.parts) for s in es.enumerate_partitions(8)]
     flagged = [v["spec"] for v in report.violations]
     assert [specs.index(spec) for spec in flagged] == sorted(specs.index(spec) for spec in flagged)
     assert set(map(tuple, flagged)) == set(map(tuple, specs))
@@ -486,7 +488,7 @@ def test_theorem_1_sweep_leaves_the_complement_identity_to_lemma2(monkeypatch):
 
 def test_lemma2_sweeps_every_spec_without_a_singleton():
     for n in range(4, 21):
-        specs = es.enumerate_partitions(n, connected_only=True)
+        specs = es.enumerate_partitions(n)
         assert verification.verify_lemma2(n).cases == sum(1 for s in specs if s.parts[-1] >= 2)
 
 
