@@ -32,6 +32,7 @@ from .errors import (
 )
 from .exact import Surd, quadratic_roots, simplify_value
 from .graphs import Graph, as_spec, build_multipartite, complete, strong_product
+from .poly import horner, times_linear
 
 # case tags name the route: every spec with a singleton, the complete graph
 # included, takes the arrowhead quotient of SPLIT_MIXED
@@ -105,11 +106,6 @@ def _sorted_entries(pairs) -> tuple[tuple[object, int], ...]:
     return tuple((v, m) for v, m in order)
 
 
-def _times_linear(p: list[int], d: int) -> list[int]:
-    # p(x) * (x - d), coefficients leading first
-    return [a - d * b for a, b in zip(p + [0], [0] + p)]
-
-
 def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> list[int]:
     # det(xI - Q) for the quotient over distinct large-class sizes plus the
     # clique of singletons: Q = diag(2(m-1)) bordered by a column of
@@ -119,9 +115,9 @@ def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> lis
     # (x - 2(m-1))*poly - singles*m*c*rest and rest to (x - 2(m-1))*rest.
     poly, rest = [1, -(singles - 1)], [1]
     for m, count in distinct_sizes:
-        poly = _times_linear(poly, 2 * (m - 1))
+        poly = times_linear(poly, 2 * (m - 1))
         poly[2:] = [a - singles * m * count * r for a, r in zip(poly[2:], rest)]
-        rest = _times_linear(rest, 2 * (m - 1))
+        rest = times_linear(rest, 2 * (m - 1))
     return poly
 
 
@@ -132,8 +128,9 @@ def _quotient_roots(distinct_sizes: list[tuple[int, int]], singles: int, poly: l
     # corner, border sqrt(singles*m*count).  The roots are simple and
     # strictly interlace the distinct even diagonal values, so no other root
     # lies within 1/2 of an integer root: rounding each eigenvalue and
-    # confirming it by exact Horner evaluation recovers every integer root
-    # as an int, the complete graph's singles-1 included.
+    # confirming it as an exact zero of the integer polynomial (horner)
+    # recovers every integer root as an int, the complete graph's singles-1
+    # included.
     if len(poly) == 3:
         return list(quadratic_roots(-poly[1], poly[2]))
     arrow = np.diag([2.0 * (m - 1) for m, _ in distinct_sizes] + [singles - 1.0])
@@ -142,10 +139,7 @@ def _quotient_roots(distinct_sizes: list[tuple[int, int]], singles: int, poly: l
     out = []
     for root in np.linalg.eigvalsh(arrow).tolist():
         r = round(root)
-        value = 0
-        for coeff in poly:
-            value = value * r + coeff
-        out.append(r if value == 0 else root)
+        out.append(r if horner(poly, r) == 0 else root)
     return out
 
 

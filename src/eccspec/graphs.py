@@ -34,7 +34,7 @@ from .errors import (
 MAX_ORDER = 4096
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
     if n > MAX_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds the maximum of {MAX_ORDER} vertices")
 
@@ -65,7 +65,7 @@ class Graph:
         Raises OrderTooLargeError above MAX_ORDER vertices, and
         VertexOutOfRangeError or SelfLoopError, both ValueErrors.
         """
-        _check_order(n)
+        check_order(n)
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -136,7 +136,7 @@ def _multipartite_adjacency(specs) -> np.ndarray:
     largest class first; each class of the stack has its own label.
     """
     n = specs[0].n
-    _check_order(n)
+    check_order(n)
     sizes = [size for spec in specs for size in spec.parts]
     labels = np.repeat(np.arange(len(sizes)), sizes).reshape(len(specs), n)
     return labels[:, :, None] != labels[:, None, :]
@@ -163,7 +163,7 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: (v1,w1) ~ (v2,w2) when each coordinate is equal or
     adjacent, excluding the fully-equal pair.  Vertex (v, w) maps to v*h.n + w.
     """
-    _check_order(g.n * h.n)
+    check_order(g.n * h.n)
     closed = np.kron(g.adjacency | np.eye(g.n, dtype=bool), h.adjacency | np.eye(h.n, dtype=bool))
     np.fill_diagonal(closed, False)
     return Graph(closed)

@@ -15,7 +15,7 @@ from .errors import (
     MalformedHeaderError,
     TruncatedPayloadError,
 )
-from .graphs import Graph, _check_order
+from .graphs import Graph, check_order
 
 GRAPH6_HEADER = ">>graph6<<"
 _G6_LONG_LIMIT = 258047
@@ -82,7 +82,7 @@ def parse_graph6(line: str) -> Graph:
     n, idx = _read_order(data)
     if n < 1:
         raise Graph6FormatError("graphs with no vertices are not supported")
-    _check_order(n)
+    check_order(n)
     bits_needed = n * (n - 1) // 2
     payload = data[idx:]
     expected = (bits_needed + 5) // 6

@@ -210,7 +210,7 @@ def group_spectrum(eigenvalues, tol: float) -> Spectrum:
     return Spectrum(tuple(eigs), tuple(groups), len(eigs))
 
 
-def _grouping_tol(frobenius_sq: float) -> float:
+def grouping_tol(frobenius_sq: float) -> float:
     # the default grouping tolerance 1e-8*max(1, ||M||_F), from ||M||_F^2
     return 1e-8 * max(1.0, math.sqrt(frobenius_sq))
 
@@ -220,7 +220,7 @@ def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:
     eigs = symmetric_eigenvalues(matrix)
     if tol is None:
         flat = np.asarray(matrix, dtype=np.float64).ravel(order="K")
-        tol = _grouping_tol(float(flat @ flat))
+        tol = grouping_tol(float(flat @ flat))
     return group_spectrum(eigs, tol)
 
 

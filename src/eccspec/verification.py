@@ -16,8 +16,8 @@ The equitable quotient of every spec with a singleton class, the complete
 graph included, is checked exactly: `_block_quotient` sums the int64
 eccentricity matrix over the classes as the adjacency kernel lays them out
 (each large class, then the clique), and the quotient's integer
-characteristic polynomial must equal the closed form's quotient polynomial
-times the deflated factors.
+characteristic polynomial, by `poly.char_poly` (Berkowitz over Python ints),
+must equal the closed form's quotient polynomial times the deflated factors.
 Lemma 2's doubled-complement identity is checked by verify_lemma2 alone, with
 the complement kernel on the same adjacency stacks.
 Findings land in a VerificationReport; a report passes exactly when its
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import (
-    _times_linear,
     antipodal_product_spectrum,
     energy_bounds,
     equienergetic_pair,
@@ -42,17 +41,18 @@ from .eccentricity import _complement_stack, _eccentricity_stack
 from .errors import PreconditionViolatedError
 from .graphs import (
     MultipartiteSpec,
-    _check_order,
     _multipartite_adjacency,
     _seidel,
     all_pairs_distances,
     antipodal_class,
     build_multipartite,
+    check_order,
 )
+from .poly import char_poly, times_linear
 from .spectra import (
-    _grouping_tol,
     energy,
     group_spectrum,
+    grouping_tol,
     spectral_radius,
     symmetric_eigenvalues,
 )
@@ -225,23 +225,8 @@ def _numeric_spectra(report, labelled):
             if sq_dev[i] >= TOL_FROBENIUS * max(frob_sq[i], 1.0):
                 _violation(report, label, "oracle_frobenius",
                            float(frob_sq[i]), float(frob_sq[i] + sq_dev[i]))
-            spectrum = group_spectrum(eigs[i].tolist(), _grouping_tol(frob_sq[i]))
+            spectrum = group_spectrum(eigs[i].tolist(), grouping_tol(frob_sq[i]))
             yield label, matrices[i], spectrum
-
-
-def _char_poly(a) -> list[int]:
-    # det(xI - a) of an integer matrix, leading coefficient first, by
-    # Faddeev-LeVerrier over Python ints: M_i = a M_{i-1} + c_{i-1} I and
-    # c_i = -tr(a M_i) / i, where the division is exact; a M_i is carried
-    # into the next step, so each step does one product
-    a = np.asarray(a).astype(object)
-    identity = np.eye(len(a), dtype=object)
-    coeffs = [1]
-    am = np.zeros_like(identity)
-    for i in range(1, len(a) + 1):
-        am = a @ (am + coeffs[-1] * identity)
-        coeffs.append(-(np.trace(am) // i))
-    return coeffs
 
 
 def _block_quotient(matrix: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, bool]:
@@ -319,8 +304,8 @@ def verify_closed_forms(n: int) -> VerificationReport:
         expected = list(closed.quotient_poly)
         for prev, size in zip(large, large[1:]):
             if size == prev:
-                expected = _times_linear(expected, 2 * (size - 1))
-        actual = _char_poly(q)
+                expected = times_linear(expected, 2 * (size - 1))
+        actual = char_poly(q.tolist())
         if actual != expected:
             _violation(report, spec, "quotient_char_poly", expected, actual)
     report.witnesses["partitions_checked"] = report.cases
@@ -505,7 +490,7 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
     """
     if n_max < 2:
         raise PreconditionViolatedError(f"pair construction needs n >= 2, got {n_max}")
-    _check_order(4 * n_max)
+    check_order(4 * n_max)
     _check_sweep_size(4 * n_max, smallest=2)
     sweep_sizes = dict(enumerate(_sweep_sizes(4 * n_max, smallest=2), start=2))
     report = VerificationReport("product_equienergetic", n_max)

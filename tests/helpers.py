@@ -4,6 +4,7 @@ strategies that more than one test module draws from."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -29,6 +30,15 @@ def same_order_stacks(max_order):
     return st.integers(2, max_order).flatmap(
         lambda n: st.lists(adjacencies(n, connected=True, min_order=n), min_size=1, max_size=6)
     ).map(np.stack)
+
+
+def square_int_matrices(max_order=5, bound=20):
+    # square integer matrices as lists of rows, of order 1..max_order
+    return st.integers(1, max_order).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
 
 
 def floyd_warshall_distances(adjacency) -> np.ndarray:
@@ -162,6 +172,26 @@ def char_poly_by_leibniz(matrix) -> list[int]:
         for power, coeff in enumerate(term):
             total[power] += coeff
     return total[::-1]
+
+
+def det_by_elimination(matrix) -> int:
+    """Determinant of an integer matrix by Gaussian elimination over
+    Fractions, swapping in the first nonzero pivot of each column."""
+    a = [[Fraction(int(x)) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            factor = a[r][col] / a[col][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    assert det.denominator == 1
+    return int(det)
 
 
 def antipodal_fibre_size_loop(adjacency):

@@ -33,3 +33,18 @@ def test_every_public_name_has_a_reader():
     assert SOURCES
     read = set().union(*map(read_names, SOURCES))
     assert sorted(set(es.__all__) - read) == []
+
+
+STACK_KERNELS = {"_multipartite_adjacency", "_seidel", "_eccentricity_stack", "_complement_stack"}
+
+
+def test_only_the_stack_kernels_cross_modules_as_private_names():
+    imported = {
+        alias.name
+        for path in sorted((ROOT / "src" / "eccspec").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert imported == STACK_KERNELS

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import eccspec as es
 import eccspec.closed_form as closed_form
 import eccspec.graphs as graphs
+import eccspec.poly as poly
 import eccspec.verification as verification
 from eccspec.cli import main as cli_main
 from eccspec.errors import OrderTooLargeError, PreconditionViolatedError
-from helpers import char_poly_by_leibniz
+from helpers import char_poly_by_leibniz, square_int_matrices
 
 # standard partition counts p(1)..p(14)
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -259,17 +260,9 @@ def test_fault_injection_flips_the_report(monkeypatch):
     assert report.violations
 
 
-def square_int_matrices(max_order=5, bound=20):
-    return st.integers(1, max_order).flatmap(
-        lambda k: st.lists(
-            st.lists(st.integers(-bound, bound), min_size=k, max_size=k), min_size=k, max_size=k
-        )
-    )
-
-
 @given(square_int_matrices())
 def test_char_poly_matches_the_leibniz_oracle(rows):
-    assert verification._char_poly(np.array(rows)) == char_poly_by_leibniz(rows)
+    assert poly.char_poly(rows) == char_poly_by_leibniz(rows)
 
 
 @given(square_int_matrices(), st.booleans())
@@ -281,7 +274,7 @@ def test_char_poly_of_a_nilpotent_matrix_is_a_power_of_x(rows, lower):
     u_inv = np.round(np.linalg.inv(u)).astype(np.int64)
     assert np.array_equal(u @ u_inv, np.eye(k, dtype=np.int64))
     for m in (n, u @ n @ u_inv):
-        assert verification._char_poly(m) == char_poly_by_leibniz(m) == [1] + [0] * k
+        assert poly.char_poly(m.tolist()) == char_poly_by_leibniz(m) == [1] + [0] * k
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -294,13 +287,13 @@ def test_char_poly_of_the_sweep_quotients_matches_the_leibniz_oracle(n):
         matrix = es.eccentricity_matrix(es.build_multipartite(spec)).matrix
         q, equitable = verification._block_quotient(matrix, [*large, n - sum(large)])
         assert equitable and q.dtype == np.int64
-        assert verification._char_poly(q) == char_poly_by_leibniz(q)
+        assert poly.char_poly(q.tolist()) == char_poly_by_leibniz(q)
 
 
 def test_char_poly_of_zero_and_small_matrices():
-    assert verification._char_poly(np.zeros((4, 4), dtype=int)) == [1, 0, 0, 0, 0]
-    assert verification._char_poly(np.array([[2, -4], [1, -2]])) == [1, 0, 0]
-    assert verification._char_poly(np.array([[7]])) == [1, -7]
+    assert poly.char_poly([[0] * 4 for _ in range(4)]) == [1, 0, 0, 0, 0]
+    assert poly.char_poly([[2, -4], [1, -2]]) == [1, 0, 0]
+    assert poly.char_poly([[7]]) == [1, -7]
 
 
 def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
