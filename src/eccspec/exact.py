@@ -184,21 +184,35 @@ class Surd:
         return f"{self.a} {'+' if self.b > 0 else '-'} {root}"
 
 
+def _normal_surd(a: Fraction, b: Fraction, r: int) -> Surd:
+    # a Surd already in normal form (b == r == 0, or b != 0 and r > 1
+    # squarefree), built without normalising it again
+    surd = Surd.__new__(Surd)
+    surd.a, surd.b, surd.r = a, b, r
+    return surd
+
+
 def quadratic_roots(b, c) -> tuple[Surd, Surd]:
     """Exact roots of x**2 - b*x + c, larger root first.
 
     Raises ValueError when the discriminant is negative.  Perfect-square
-    discriminants collapse to rational Surds automatically.
+    discriminants give rational Surds.  b and c are ints or Fractions,
+    taken through one path: sqrt(num/den) = k*sqrt(s)/den, with num*den
+    split once into k*k*s.
     """
     b = Fraction(b)
     c = Fraction(c)
     disc = b * b - 4 * c
     if disc < 0:
         raise ValueError("quadratic has no real roots")
-    # sqrt(num/den) = sqrt(num*den) / den
-    half_root = Surd(0, Fraction(1, 2 * disc.denominator), disc.numerator * disc.denominator)
-    half_b = Surd(b / 2)
-    return half_b + half_root, half_b - half_root
+    k, s = _split_square(disc.numerator * disc.denominator)
+    half_b = b / 2
+    if s <= 1:  # a perfect square, zero included
+        half_root = Fraction(k * s, 2 * disc.denominator)
+        return (_normal_surd(half_b + half_root, Fraction(0), 0),
+                _normal_surd(half_b - half_root, Fraction(0), 0))
+    half_root = Fraction(k, 2 * disc.denominator)
+    return _normal_surd(half_b, half_root, s), _normal_surd(half_b, -half_root, s)
 
 
 def simplify_value(value):

@@ -111,6 +111,14 @@ class MultipartiteSpec:
             raise InvalidSpecError(f"all parts must be >= 1, got {parts}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _from_sorted(cls, parts: tuple[int, ...]) -> "MultipartiteSpec":
+        # a spec from a tuple of ints already sorted non-increasing and
+        # positive, with no second sort or check
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "parts", parts)
+        return spec
+
     @property
     def n(self) -> int:
         return sum(self.parts)

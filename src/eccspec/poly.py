@@ -3,6 +3,8 @@
 A polynomial is a list of Python ints, leading coefficient first.
 """
 
+from operator import mul
+
 
 def times_linear(p: list[int], d: int) -> list[int]:
     """p(x) * (x - d)."""
@@ -30,7 +32,7 @@ def char_poly(rows: list[list[int]]) -> list[int]:
         column = [rows[i][r] for i in range(r)]
         toeplitz = [1, -row[r]]
         for _ in range(r):
-            toeplitz.append(-sum(s * c for s, c in zip(row, column)))
-            column = [sum(a * c for a, c in zip(rows[i], column)) for i in range(r)]
-        coeffs = [sum(t * c for t, c in zip(toeplitz[i::-1], coeffs)) for i in range(r + 2)]
+            toeplitz.append(-sum(map(mul, row, column)))
+            column = [sum(map(mul, rows[i], column)) for i in range(r)]
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(r + 2)]
     return coeffs

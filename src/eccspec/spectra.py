@@ -9,6 +9,7 @@ equal-order matrices; the Householder steps run on the whole stack at once,
 which is what makes the verification sweeps' many small solves cheap.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -188,31 +189,50 @@ class Spectrum:
     n: int
 
 
-def group_spectrum(eigenvalues, tol: float) -> Spectrum:
-    """Cluster eigenvalues whose adjacent gaps stay within tol.
+def _group_stack(eigs: np.ndarray, tols: np.ndarray) -> list[Spectrum]:
+    """Group each row of a descending stack (k, n) of eigenvalues at its own
+    tolerance: a Spectrum per member.
 
-    Each group reports the arithmetic mean of its members, which cancels the
-    symmetric part of the solver noise.  tol must be finite and >= 0: a NaN
-    gap test never splits, so NaN would merge everything into one group.
+    One gap test serves the whole stack: a group ends where
+    eigs[:, j] - eigs[:, j + 1] > tol.  Each group reports the arithmetic
+    mean of its members, summed left to right in Python floats, which
+    cancels the symmetric part of the solver noise.  Eigenvalues must be
+    finite, and tolerances finite and >= 0: a NaN gap test never splits, so
+    a NaN in either would merge everything into one group.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise PreconditionViolatedError(f"grouping tolerance must be finite and >= 0, got {tol}")
+    valid = np.isfinite(tols) & (tols >= 0)
+    if not valid.all():
+        raise PreconditionViolatedError(
+            f"grouping tolerance must be finite and >= 0, got {tols[~valid][0]}")
+    if not np.isfinite(eigs).all():
+        raise PreconditionViolatedError("eigenvalues to group must be finite")
+    n = eigs.shape[1]
+    rows, cols = np.nonzero(eigs[:, :-1] - eigs[:, 1:] > tols[:, None])
+    splits = iter((cols + 1).tolist())
+    spectra = []
+    for row, count in zip(eigs.tolist(), np.bincount(rows, minlength=len(eigs)).tolist()):
+        bounds = [0, *itertools.islice(splits, count), n] if n else []
+        groups = tuple((sum(row[a:b]) / (b - a), b - a) for a, b in zip(bounds, bounds[1:]))
+        spectra.append(Spectrum(tuple(row), groups, n))
+    return spectra
+
+
+def group_spectrum(eigenvalues, tol: float) -> Spectrum:
+    """Cluster eigenvalues whose adjacent gaps stay within tol, as a stack of
+    one of _group_stack, after sorting them descending.
+
+    tol must be finite and >= 0 and the eigenvalues finite, or
+    PreconditionViolatedError is raised.
+    """
     eigs = sorted((float(x) for x in eigenvalues), reverse=True)
-    groups: list[tuple[float, int]] = []
-    block: list[float] = []
-    for value in eigs:
-        if block and (block[-1] - value) > tol:
-            groups.append((sum(block) / len(block), len(block)))
-            block = []
-        block.append(value)
-    if block:
-        groups.append((sum(block) / len(block), len(block)))
-    return Spectrum(tuple(eigs), tuple(groups), len(eigs))
+    return _group_stack(np.array(eigs, dtype=np.float64).reshape(1, -1),
+                        np.array([tol], dtype=np.float64))[0]
 
 
-def grouping_tol(frobenius_sq: float) -> float:
-    # the default grouping tolerance 1e-8*max(1, ||M||_F), from ||M||_F^2
-    return 1e-8 * max(1.0, math.sqrt(frobenius_sq))
+def grouping_tol(frobenius_sq):
+    # the default grouping tolerance 1e-8*max(1, ||M||_F), from ||M||_F^2;
+    # elementwise on an array of squared norms
+    return 1e-8 * np.maximum(1.0, np.sqrt(frobenius_sq))
 
 
 def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:

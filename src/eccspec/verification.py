@@ -3,19 +3,25 @@
 Each verifier enumerates integer partitions, builds the actual graphs, runs
 the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
+Partitions come from a loop, in reverse lexicographic order, each built
+sorted and handed on without a second sort or check.
 The equal-order specs of a sweep go through the chain in stacks of at most
 `_STACK_CELLS` matrix entries (or of one matrix, when it alone is larger),
 so a stack holds more small matrices than large ones: one adjacency stack
 built from their class labels, one stacked Seidel run, one in-place
 eccentricity pass, with no Graph per spec.  Every numeric spectrum comes
-from one step, `_numeric_spectra`, which solves a stack's matrices at once
-and checks each spectrum against the trace (zero) and Frobenius (squared
-norm) identities before handing it on, so findings keep the enumeration
-order.
+from one step, `_numeric_stacks`, which solves a stack's matrices at once,
+tests the whole stack against the trace (zero) and Frobenius (squared norm)
+identities, and groups it with one call into the spectra module's grouping
+kernel.  The checks after it work on the same stack: `_check_spectrum`
+gives every closed-vs-numeric deviation from one array, and
+`_block_quotient` every block sum from one batched product.  Each member's
+findings are still recorded member by member, its oracle findings first,
+so a report lists them in enumeration order.
 The equitable quotient of every spec with a singleton class, the complete
 graph included, is checked exactly: `_block_quotient` sums the int64
-eccentricity matrix over the classes as the adjacency kernel lays them out
-(each large class, then the clique), and the quotient's integer
+eccentricity matrices over the classes as the adjacency kernel lays them out
+(each large class, then the clique), and each quotient's integer
 characteristic polynomial, by `poly.char_poly` (Berkowitz over Python ints),
 must equal the closed form's quotient polynomial times the deflated factors.
 Lemma 2's doubled-complement identity is checked by verify_lemma2 alone, with
@@ -50,8 +56,8 @@ from .graphs import (
 )
 from .poly import char_poly, times_linear
 from .spectra import (
+    _group_stack,
     energy,
-    group_spectrum,
     grouping_tol,
     spectral_radius,
     symmetric_eigenvalues,
@@ -115,21 +121,49 @@ def enumerate_partitions(n: int) -> list[MultipartiteSpec]:
 
 
 def _connected_partitions(n: int, smallest: int = 1):
-    # partitions of n into at least two parts, each >= smallest, in the
-    # order of enumerate_partitions; a part that would leave a remainder
-    # below smallest is never tried
-    def rec(remaining: int, cap: int, prefix: list[int]):
-        if remaining == 0:
-            yield MultipartiteSpec(tuple(prefix))
-            return
-        for k in range(min(remaining, cap), smallest - 1, -1):
-            if 0 < remaining - k < smallest:
-                continue
-            prefix.append(k)
-            yield from rec(remaining - k, k, prefix)
-            prefix.pop()
+    # partitions of n into at least two parts, each >= smallest, by a loop
+    # in reverse lexicographic order, the order of Zoghbi & Stojmenovic's
+    # ZS1 (1998); each tuple is built sorted and positive, so the spec takes
+    # it as it is
+    parts = _largest_fill(n, n - 1, smallest)
+    while parts:
+        yield MultipartiteSpec._from_sorted(tuple(parts))
+        parts = _next_partition(parts, smallest)
 
-    return rec(n, n - 1, [])
+
+def _next_partition(parts: list[int], smallest: int) -> list[int]:
+    # the next partition after parts, in place, or [] after the last: it
+    # keeps the longest prefix it can, shrinks the part after it by as
+    # little as lets the parts behind refill with sizes between smallest
+    # and the shrunk part, and refills them as large as possible
+    tail = 0
+    while parts:
+        part = parts.pop()
+        tail += part
+        for cap in range(part - 1, smallest - 1, -1):
+            rest = _largest_fill(tail - cap, cap, smallest)
+            if rest:
+                parts.append(cap)
+                parts += rest
+                return parts
+    return parts
+
+
+def _largest_fill(total: int, cap: int, smallest: int) -> list[int]:
+    # the lexicographically largest partition of total > 0 into parts
+    # between smallest and cap, or [] when there is none: it has the fewest
+    # parts cap allows, and each part is as large as the parts after it
+    # still allow
+    if cap < smallest:
+        return []
+    count = -(-total // cap)
+    if count * smallest > total:
+        return []
+    fill = []
+    for left in range(count - 1, -1, -1):
+        fill.append(min(cap, total - left * smallest))
+        total -= fill[-1]
+    return fill
 
 
 def _sweep_sizes(n: int, smallest: int = 1):
@@ -159,15 +193,17 @@ def _record(report: VerificationReport, dev: float) -> None:
         report.max_dev = float(dev)
 
 
+def _finding(spec, check, expected, actual) -> dict:
+    return {
+        "spec": list(spec.parts) if isinstance(spec, MultipartiteSpec) else spec,
+        "check": check,
+        "expected": expected,
+        "actual": actual,
+    }
+
+
 def _violation(report, spec, check, expected, actual) -> None:
-    report.violations.append(
-        {
-            "spec": list(spec.parts) if isinstance(spec, MultipartiteSpec) else spec,
-            "check": check,
-            "expected": expected,
-            "actual": actual,
-        }
-    )
+    report.violations.append(_finding(spec, check, expected, actual))
 
 
 def _adjacency_stack(sources) -> np.ndarray:
@@ -200,48 +236,69 @@ def _eccentricity_chunks(labelled):
         yield chunk, adjacency, _eccentricity_stack(_seidel(adjacency))
 
 
-def _numeric_spectra(report, labelled):
-    """Yield (label, eccentricity matrix, spectrum) for each (label, source)
-    pair, in order; the sources share one order.
+def _numeric_stacks(labelled):
+    """Yield (labels, matrices, spectra, oracle) for each stack of
+    _eccentricity_chunks over the (label, source) pairs, in order; the
+    sources share one order.
 
     The module's only call into the eigensolver, so no numeric spectrum
-    escapes the oracle.  The matrices are built and solved in the stacks of
-    _eccentricity_chunks, of at most _STACK_CELLS entries unless one matrix
-    alone is larger, and the trace and Frobenius sums of a stack are reduced
-    at once; a pair's oracle findings are recorded just before it is yielded.
-    Each spectrum is grouped at matrix_spectrum's default tolerance.  The
-    matrices are integer, so their squared norms are summed exactly in
-    int64.
+    escapes the oracle.  A stack's matrices are solved at once, and its
+    trace and Frobenius sums are reduced and tested at once: oracle[i] holds
+    member i's findings, which the caller records just before that member's
+    own.  The matrices are integer, so their squared norms are summed
+    exactly in int64.  The spectra are grouped by one call into the grouping
+    kernel, each at matrix_spectrum's default tolerance.
     """
     for chunk, _, matrices in _eccentricity_chunks(labelled):
+        labels = [label for label, _ in chunk]
         eigs = symmetric_eigenvalues(matrices)
-        trace_dev = np.abs(eigs.sum(axis=1))
         frob_sq = np.einsum("kij,kij->k", matrices, matrices)
+        trace_dev = np.abs(eigs.sum(axis=1))
         sq_dev = np.abs(np.sum(eigs**2, axis=1) - frob_sq)
-        order = eigs.shape[1]
-        for i, (label, _) in enumerate(chunk):
-            if trace_dev[i] >= TOL_TRACE * order:
-                _violation(report, label, "oracle_trace", 0.0, float(trace_dev[i]))
-            if sq_dev[i] >= TOL_FROBENIUS * max(frob_sq[i], 1.0):
-                _violation(report, label, "oracle_frobenius",
-                           float(frob_sq[i]), float(frob_sq[i] + sq_dev[i]))
-            spectrum = group_spectrum(eigs[i].tolist(), grouping_tol(frob_sq[i]))
-            yield label, matrices[i], spectrum
+        oracle = [[] for _ in labels]
+        for i in np.flatnonzero(trace_dev >= TOL_TRACE * eigs.shape[1]).tolist():
+            oracle[i].append(_finding(labels[i], "oracle_trace", 0.0, float(trace_dev[i])))
+        for i in np.flatnonzero(sq_dev >= TOL_FROBENIUS * np.maximum(frob_sq, 1.0)).tolist():
+            oracle[i].append(_finding(labels[i], "oracle_frobenius",
+                                      float(frob_sq[i]), float(frob_sq[i] + sq_dev[i])))
+        yield labels, matrices, _group_stack(eigs, grouping_tol(frob_sq)), oracle
 
 
-def _block_quotient(matrix: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, bool]:
-    """Exact quotient of an integer matrix over contiguous index classes of
-    the given sizes, in order, and whether the partition is equitable.
+def _numeric_spectra(report, labelled):
+    """Yield (label, eccentricity matrix, spectrum) for each (label, source)
+    pair of _numeric_stacks, in order, recording each pair's oracle findings
+    just before it is yielded."""
+    for labels, matrices, spectra, oracle in _numeric_stacks(labelled):
+        for label, matrix, spectrum, found in zip(labels, matrices, spectra, oracle):
+            report.violations += found
+            yield label, matrix, spectrum
 
-    One reduceat sums each row over every class; Q holds those block sums
-    for the first row of each class, and the partition is equitable iff
-    every row's block sums equal its class head's.  The sums stay in the
-    matrix's integer dtype.
+
+def _block_quotient(matrices: np.ndarray, layouts: list[list[int]]) -> tuple[list, list[bool]]:
+    """Exact quotients of a stack (k, n, n) of integer matrices, each over
+    contiguous index classes of the sizes its layout lists in order, and
+    whether each partition is equitable.
+
+    One batched product against the members' class indicators sums every
+    row over every class, in int64.  Member i's Q, a (c, c) int64 array for
+    its c classes, holds those block sums for the first row of each class,
+    and its partition is equitable iff every row's block sums equal its
+    class head's.  Only the head rows are gathered out of the stack.
     """
-    starts = np.cumsum([0, *sizes[:-1]])
-    block_sums = np.add.reduceat(matrix, starts, axis=1)
-    q = block_sums[starts]
-    return q, bool(np.array_equal(block_sums, np.repeat(q, sizes, axis=0)))
+    count, n, _ = matrices.shape
+    width = max(map(len, layouts))
+    sizes = [size for layout in layouts for size in layout]
+    starts = [list(itertools.accumulate(layout[:-1], initial=0)) for layout in layouts]
+    classes = np.repeat([c for layout in layouts for c in range(len(layout))], sizes)
+    indicators = (classes.reshape(count, n, 1) == np.arange(width)).astype(np.int64)
+    sums = matrices @ indicators
+    head_of = np.repeat([head for heads in starts for head in heads], sizes).reshape(count, n, 1)
+    equitable = (sums == np.take_along_axis(sums, head_of, axis=1)).all(axis=(1, 2))
+    # each member's head rows, padded to the widest layout with row 0
+    head_rows = np.array([heads + [0] * (width - len(heads)) for heads in starts])
+    quotients = np.take_along_axis(sums, head_rows.reshape(count, width, 1), axis=1)
+    return ([q[:len(heads), :len(heads)] for q, heads in zip(quotients, starts)],
+            equitable.tolist())
 
 
 def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport:
@@ -251,28 +308,44 @@ def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport
     return VerificationReport(theorem, n)
 
 
-def _check_spectrum(report, label, closed, numeric) -> bool:
-    # closed form against the numeric spectrum: its size, its values and its
-    # unmerged multiplicities; False on a size mismatch, where the values
-    # cannot be paired
-    closed_eigs = closed.eigenvalues()
-    numeric_eigs = np.array(numeric.eigenvalues)
-    if len(closed_eigs) != len(numeric_eigs):
-        _violation(report, label, "spectrum_size", len(numeric_eigs), len(closed_eigs))
-        return False
-    dev = float(np.max(np.abs(closed_eigs - numeric_eigs)))
-    _record(report, dev)
-    if dev >= TOL_MATCH:
-        _violation(report, label, "spectrum_values", numeric_eigs.tolist(), closed_eigs.tolist())
-    if [m for _, m in closed.entries] != [m for _, m in numeric.groups]:
-        _violation(
-            report,
-            label,
-            "multiplicities",
-            [[v, m] for v, m in numeric.groups],
-            [[float(v), m] for v, m in closed.entries],
-        )
-    return True
+def _check_spectrum(report, labels, closed, spectra) -> tuple[list[list], list[bool]]:
+    """Closed forms against the numeric spectra of one stack: each member's
+    size, values and unmerged multiplicities.
+
+    Returns each member's findings, in check order, and whether its size
+    matched; a size mismatch leaves no values to pair.  The closed entries
+    are expanded in Python, and one array of the matched members gives
+    every deviation, which goes to the report's max_dev.
+    """
+    found = [[] for _ in labels]
+    expanded = []
+    for entries in (c.entries for c in closed):
+        values = []
+        for value, mult in entries:
+            values += [float(value)] * mult
+        expanded.append(values)
+    sized = [len(values) == numeric.n for values, numeric in zip(expanded, spectra)]
+    for i, ok in enumerate(sized):
+        if not ok:
+            found[i].append(_finding(labels[i], "spectrum_size", spectra[i].n, len(expanded[i])))
+    rows = [i for i, ok in enumerate(sized) if ok]
+    if not rows:
+        return found, sized
+    devs = np.abs(np.array([expanded[i] for i in rows])
+                  - np.array([spectra[i].eigenvalues for i in rows])).max(axis=1)
+    for i, dev in zip(rows, devs.tolist()):
+        _record(report, dev)
+        if dev >= TOL_MATCH:
+            found[i].append(_finding(labels[i], "spectrum_values",
+                                     list(spectra[i].eigenvalues), expanded[i]))
+        if [m for _, m in closed[i].entries] != [m for _, m in spectra[i].groups]:
+            found[i].append(_finding(
+                labels[i],
+                "multiplicities",
+                [[v, m] for v, m in spectra[i].groups],
+                [[float(v), m] for v, m in closed[i].entries],
+            ))
+    return found, sized
 
 
 def verify_closed_forms(n: int) -> VerificationReport:
@@ -289,25 +362,29 @@ def verify_closed_forms(n: int) -> VerificationReport:
     """
     report = _sweep_report("multipartite_closed_spectra", n)
     specs = _connected_partitions(n)
-    for spec, matrix, numeric in _numeric_spectra(report, _labelled(specs)):
-        report.cases += 1
-        closed = multipartite_spectrum_closed(spec)
-        if not _check_spectrum(report, spec, closed, numeric) or spec.parts[-1] > 1:
-            continue
+    for stack, matrices, spectra, oracle in _numeric_stacks(_labelled(specs)):
+        closed = [multipartite_spectrum_closed(spec) for spec in stack]
+        found, sized = _check_spectrum(report, stack, closed, spectra)
         # the adjacency kernel lays classes out largest first: each large
         # class, then the singletons, merged into one clique class
-        large = [size for size in spec.parts if size >= 2]
-        q, equitable = _block_quotient(matrix, [*large, spec.n - sum(large)])
-        if not equitable:
-            _violation(report, spec, "quotient_equitable", True, False)
-            continue
-        expected = list(closed.quotient_poly)
-        for prev, size in zip(large, large[1:]):
-            if size == prev:
-                expected = times_linear(expected, 2 * (size - 1))
-        actual = char_poly(q.tolist())
-        if actual != expected:
-            _violation(report, spec, "quotient_char_poly", expected, actual)
+        mixed = [i for i, spec in enumerate(stack) if sized[i] and spec.parts[-1] == 1]
+        larges = [[size for size in stack[i].parts if size >= 2] for i in mixed]
+        layouts = [[*large, n - sum(large)] for large in larges]
+        quotients, equitable = _block_quotient(matrices[mixed], layouts) if mixed else ((), ())
+        for i, large, q, ok in zip(mixed, larges, quotients, equitable):
+            if not ok:
+                found[i].append(_finding(stack[i], "quotient_equitable", True, False))
+                continue
+            expected = list(closed[i].quotient_poly)
+            for prev, size in zip(large, large[1:]):
+                if size == prev:
+                    expected = times_linear(expected, 2 * (size - 1))
+            actual = char_poly(q.tolist())
+            if actual != expected:
+                found[i].append(_finding(stack[i], "quotient_char_poly", expected, actual))
+        for own, before in zip(found, oracle):
+            report.violations += before + own
+        report.cases += len(stack)
     report.witnesses["partitions_checked"] = report.cases
     return report
 
@@ -426,7 +503,9 @@ def _check_pair_order(report, n: int, product, partners, predicted: int, sweep=(
     label = [n, n, "x", 2]
     stream = _numeric_spectra(report, itertools.chain([(label, product)], partners, _labelled(sweep)))
     _, _, spectrum = next(stream)
-    _check_spectrum(report, label, antipodal_product_spectrum(2 * n, n, 2, 2), spectrum)
+    (found,), _ = _check_spectrum(report, [label], [antipodal_product_spectrum(2 * n, n, 2, 2)],
+                                  [spectrum])
+    report.violations += found
     e_product = energy(spectrum)
     zero_mult = int(np.sum(np.abs(np.array(spectrum.eigenvalues)) < ZERO_EIG_TOL))
     if zero_mult != 2 * n:

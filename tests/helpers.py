@@ -41,6 +41,37 @@ def square_int_matrices(max_order=5, bound=20):
     )
 
 
+def partitions_by_brute_force(n: int, smallest: int = 1) -> list[tuple[int, ...]]:
+    """The partitions of n into two or more parts, each >= smallest, in
+    reverse lexicographic order: the set of every partition of each m <= n,
+    built by adding one part to a partition of a smaller m and sorting, then
+    sorted as tuples at the end."""
+    table = [{()}]
+    for m in range(1, n + 1):
+        table.append({tuple(sorted((part, *rest), reverse=True))
+                      for part in range(smallest, m + 1) for rest in table[m - part]})
+    return sorted((parts for parts in table[n] if len(parts) >= 2), reverse=True)
+
+
+def group_rows_by_loop(eigs, tols) -> list[tuple[tuple[float, ...], tuple[tuple[float, int], ...]]]:
+    """(eigenvalues, groups) of each descending row, one value at a time: a
+    value further than its row's tol below the previous one starts a new
+    group, and each group reports the sum of its members, left to right,
+    over their count."""
+    out = []
+    for row, tol in zip(np.asarray(eigs).tolist(), np.asarray(tols).tolist()):
+        groups, block = [], []
+        for value in row:
+            if block and block[-1] - value > tol:
+                groups.append((sum(block) / len(block), len(block)))
+                block = []
+            block.append(value)
+        if block:
+            groups.append((sum(block) / len(block), len(block)))
+        out.append((tuple(row), tuple(groups)))
+    return out
+
+
 def floyd_warshall_distances(adjacency) -> np.ndarray:
     """All-pairs shortest paths by relaxation; UNREACHABLE marks missing paths."""
     adjacency = np.asarray(adjacency, dtype=bool)

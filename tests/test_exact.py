@@ -149,6 +149,38 @@ def test_quadratic_roots_negative_discriminant():
         quadratic_roots(1, 1)
 
 
+def _fields(roots):
+    return [(x.a, x.b, x.r, type(x.a), type(x.b), type(x.r)) for x in roots]
+
+
+@given(st.integers(-400, 400), st.integers(-40000, 40000))
+def test_quadratic_roots_take_one_path_for_int_and_fraction_input(b, c):
+    if b * b < 4 * c:
+        for args in ((b, c), (Fraction(b), Fraction(c))):
+            with pytest.raises(ValueError):
+                quadratic_roots(*args)
+        return
+    roots = quadratic_roots(b, c)
+    assert _fields(roots) == _fields(quadratic_roots(Fraction(b), Fraction(c)))
+    hi, lo = roots
+    assert hi + lo == b and hi * lo == c and hi >= lo
+
+
+@given(st.fractions(-50, 50, max_denominator=12), st.fractions(-50, 50, max_denominator=12))
+def test_quadratic_roots_of_fractions_are_the_roots(b, c):
+    if b * b < 4 * c:
+        with pytest.raises(ValueError):
+            quadratic_roots(b, c)
+        return
+    hi, lo = quadratic_roots(b, c)
+    assert hi + lo == b and hi * lo == c and hi >= lo
+    # the normal form: a rational root has b == r == 0, an irrational one a
+    # squarefree radicand
+    for root in (hi, lo):
+        assert (root.b == 0) == (root.r == 0)
+        assert root.r == 0 or split_square_by_trial_division(root.r) == (1, root.r) != (1, 1)
+
+
 def test_simplify_value():
     assert simplify_value(Surd(3)) == 3
     assert isinstance(simplify_value(Surd(3)), int)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import eccspec as es
 from eccspec import spectra, verification
-from helpers import jacobi_eigenvalues, quotient_matrix_loop
+from helpers import group_rows_by_loop, jacobi_eigenvalues, quotient_matrix_loop
 from eccspec.errors import (
     ConvergenceFailureError,
     EmptySpectrumError,
@@ -272,6 +272,41 @@ def test_group_spectrum_empty():
     assert s.groups == () and s.n == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_group_spectrum_rejects_non_finite_eigenvalues(bad):
+    # a NaN gap test never splits, so NaN would merge everything into one group
+    with pytest.raises(PreconditionViolatedError):
+        es.group_spectrum([3.0, bad, 1.0], tol=1e-8)
+    with pytest.raises(PreconditionViolatedError):
+        spectra._group_stack(np.array([[3.0, 2.0], [bad, 1.0]]), np.array([1e-8, 1e-8]))
+
+
+@st.composite
+def descending_stacks(draw):
+    # k rows of n descending values with per-row tolerances; dyadic values
+    # and gaps keep every difference exact, so ties (gap 0) and gaps exactly
+    # equal to tol are planted as drawn, and tol 0 is among the tolerances
+    k, n = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    tols = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-8]), min_size=k, max_size=k))
+    rows = []
+    for tol in tols:
+        value = draw(st.integers(-64, 64)) / 4
+        row = []
+        for _ in range(n):
+            row.append(value)
+            value -= draw(st.sampled_from([0.0, 0.0, tol, 0.25, 0.5, 1.0, 3.0]))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(k, n), np.array(tols)
+
+
+@given(descending_stacks())
+def test_group_stack_matches_the_row_loop(stack):
+    eigs, tols = stack
+    grouped = spectra._group_stack(eigs, tols)
+    assert [(s.eigenvalues, s.groups) for s in grouped] == group_rows_by_loop(eigs, tols)
+    assert all(s.n == eigs.shape[1] for s in grouped)
+
+
 def test_star_spectrum_groups():
     s = es.matrix_spectrum(ecc([3, 1]))
     values = [v for v, _ in s.groups]
@@ -323,9 +358,15 @@ def test_empty_spectrum_has_no_radius():
 # the verification sweep's exact quotient over contiguous classes
 
 
+def block_quotient(m, sizes):
+    # the stacked quotient on a stack of one
+    (q,), (equitable,) = verification._block_quotient(m[None], [sizes])
+    return q, equitable
+
+
 def test_split_graph_quotient_is_equitable():
     m = ecc([3, 1, 1])  # independent set of 3 joined to a clique of 2
-    q, equitable = verification._block_quotient(m, [3, 2])
+    q, equitable = block_quotient(m, [3, 2])
     assert equitable
     assert q.dtype == np.int64 and q.tolist() == [[4, 2], [3, 1]]
 
@@ -357,7 +398,7 @@ def contiguous_layouts(draw):
 def test_quotient_matches_the_block_loop(layout):
     sizes, m = layout
     classes = np.split(np.arange(len(m)), np.cumsum(sizes[:-1]))
-    q, equitable = verification._block_quotient(m, sizes)
+    q, equitable = block_quotient(m, sizes)
     q_loop, equitable_loop = quotient_matrix_loop(m, classes)
     assert equitable == equitable_loop
     assert q.dtype == np.int64
@@ -370,7 +411,7 @@ def test_quotient_matches_the_block_loop(layout):
 
 def test_all_singletons_quotient_returns_the_matrix():
     m = ecc([2, 2])
-    q, equitable = verification._block_quotient(m, [1, 1, 1, 1])
+    q, equitable = block_quotient(m, [1, 1, 1, 1])
     assert equitable
     assert np.array_equal(q, m)
 
@@ -378,14 +419,14 @@ def test_all_singletons_quotient_returns_the_matrix():
 def test_path_block_partition_is_not_equitable():
     g = es.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     m = es.eccentricity_matrix(g).matrix
-    _, equitable = verification._block_quotient(m, [2, 2])
+    _, equitable = block_quotient(m, [2, 2])
     assert not equitable
 
 
 def test_equitable_quotient_spectrum_sits_inside_full_spectrum():
     for parts in ([3, 1, 1], [4, 1], [2, 2, 1], [3, 2, 1, 1]):
         m = ecc(parts)
-        q, equitable = verification._block_quotient(m, list(es.as_spec(parts).parts))
+        q, equitable = block_quotient(m, list(es.as_spec(parts).parts))
         assert equitable
         full = es.symmetric_eigenvalues(m)
         for lam in np.linalg.eigvals(q).real:

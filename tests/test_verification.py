@@ -17,7 +17,7 @@ import eccspec.poly as poly
 import eccspec.verification as verification
 from eccspec.cli import main as cli_main
 from eccspec.errors import OrderTooLargeError, PreconditionViolatedError
-from helpers import char_poly_by_leibniz, square_int_matrices
+from helpers import char_poly_by_leibniz, partitions_by_brute_force, square_int_matrices
 
 # standard partition counts p(1)..p(14)
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -75,6 +75,24 @@ def test_connected_partitions_with_a_smallest_part_match_the_filtered_list(small
         expected = [s for s in es.enumerate_partitions(n)
                     if min(s.parts) >= smallest]
         assert list(verification._connected_partitions(n, smallest)) == expected
+
+
+@pytest.mark.parametrize("smallest", [1, 2, 3])
+def test_connected_partitions_match_the_brute_force_oracle(smallest):
+    # order and content, and every spec equal to (and hashing like) one the
+    # constructor sorts and checks
+    for n in range(1, 31):
+        specs = list(verification._connected_partitions(n, smallest))
+        assert [spec.parts for spec in specs] == partitions_by_brute_force(n, smallest)
+        for spec in specs:
+            built = es.MultipartiteSpec(spec.parts)
+            assert spec == built and hash(spec) == hash(built)
+            assert all(type(part) is int for part in spec.parts)
+
+
+def test_enumerate_partitions_reaches_the_sweep_cap():
+    # p(45) = 89134 counts the single class too; order 46 is past the cap
+    assert len(es.enumerate_partitions(45)) == 89133
 
 
 def test_closed_forms_report_small_order():
@@ -178,7 +196,8 @@ def _split_zero_entry(closed):
 FAULTS = [
     pytest.param("multipartite_spectrum_closed", lambda f: lambda spec: _drop_last_eigenvalue(f(spec)),
                  es.verify_closed_forms, (5,), {"spectrum_size"}, id="spectrum_size"),
-    pytest.param("_block_quotient", lambda f: lambda m, sizes: (f(m, sizes)[0], False),
+    pytest.param("_block_quotient",
+                 lambda f: lambda stack, layouts: (f(stack, layouts)[0], [False] * len(layouts)),
                  es.verify_closed_forms, (6,), {"quotient_equitable"}, id="quotient_equitable"),
     pytest.param("_complement_stack", lambda f: lambda adjacency: f(adjacency) + 1,
                  es.verify_lemma2, (8,), {"complement_identity"}, id="complement_identity"),
@@ -285,7 +304,7 @@ def test_char_poly_of_the_sweep_quotients_matches_the_leibniz_oracle(n):
             continue
         large = [size for size in spec.parts if size >= 2]
         matrix = es.eccentricity_matrix(es.build_multipartite(spec)).matrix
-        q, equitable = verification._block_quotient(matrix, [*large, n - sum(large)])
+        (q,), (equitable,) = verification._block_quotient(matrix[None], [[*large, n - sum(large)]])
         assert equitable and q.dtype == np.int64
         assert poly.char_poly(q.tolist()) == char_poly_by_leibniz(q)
 
@@ -433,6 +452,56 @@ def test_oracle_findings_keep_the_enumeration_order(monkeypatch):
     for spec in specs:
         checks = [v["check"] for v in report.violations if v["spec"] == spec]
         assert checks[0] == "oracle_trace" and "spectrum_values" in checks
+
+
+def _mid_stack_spec(n, smallest_part):
+    # a spec of order n past the first stack, neither first nor last in its
+    # own, whose smallest part is smallest_part
+    per_stack = max(1, verification._STACK_CELLS // n**2)
+    specs = es.enumerate_partitions(n)
+    picks = [i for i, spec in enumerate(specs)
+             if i > per_stack and 0 < i % per_stack < per_stack - 1 and i < len(specs) - 1
+             and spec.parts[-1] == smallest_part]
+    return specs[picks[len(picks) // 2]]
+
+
+@pytest.mark.parametrize("smallest_part", [1, 2])
+def test_a_perturbed_closed_form_flags_only_its_own_spec(monkeypatch, smallest_part):
+    # one stack carries many specs; shifting one closed value of one member
+    # must flag that member alone
+    target = _mid_stack_spec(16, smallest_part)
+    original = verification.multipartite_spectrum_closed
+
+    def shifted(spec):
+        closed = original(spec)
+        if spec != target:
+            return closed
+        (value, mult), *rest = closed.entries
+        return dataclasses.replace(closed, entries=((float(value) + 1e-6, mult), *rest))
+
+    monkeypatch.setattr(verification, "multipartite_spectrum_closed", shifted)
+    report = es.verify_closed_forms(16)
+    assert [(v["spec"], v["check"]) for v in report.violations] == [
+        (list(target.parts), "spectrum_values")]
+    assert report.cases == len(es.enumerate_partitions(16))
+
+
+def test_a_perturbed_block_quotient_flags_only_its_own_member(monkeypatch):
+    # the layout of a spec with a singleton names it: its large classes,
+    # then the clique
+    target = _mid_stack_spec(16, 1)
+    large = [size for size in target.parts if size >= 2]
+    layout = [*large, target.n - sum(large)]
+    original = verification._block_quotient
+
+    def flipped(stack, layouts):
+        quotients, equitable = original(stack, layouts)
+        return quotients, [ok and own != layout for ok, own in zip(equitable, layouts)]
+
+    monkeypatch.setattr(verification, "_block_quotient", flipped)
+    report = es.verify_closed_forms(16)
+    assert [(v["spec"], v["check"]) for v in report.violations] == [
+        (list(target.parts), "quotient_equitable")]
 
 
 def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
