@@ -2,8 +2,10 @@
 
 The closed-form spectra only ever need rationals plus a single square root of
 an integer, so a tiny purpose-built type beats a full CAS: sums, products,
-absolute values and sign tests all stay exact, and rounding happens once, at
-the final float conversion.
+absolute values, signs and comparisons all stay exact, and rounding happens
+at the final float conversion.  Every sign and order comes from one
+identity: t -> t|t| is odd and increasing, so sign(a + b*sqrt(r)) is the
+sign of the rational a|a| + b|b|r.
 """
 
 import math
@@ -36,7 +38,9 @@ class Surd:
     square (or zero coefficient) collapses to the purely rational form with
     b == 0, r == 0.  Addition and multiplication are closed as long as both
     operands share the same radicand; mixing radicands raises, since the
-    result would leave the representable field.
+    result would leave the representable field.  Comparisons with an int, a
+    Fraction or a Surd of any radicand are exact; only a float operand is
+    compared as a float.
     """
 
     __slots__ = ("a", "b", "r")
@@ -116,25 +120,21 @@ class Surd:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        rational_sq = self.a * self.a
-        surd_sq = self.b * self.b * self.r
-        if self.a > 0:  # b < 0
-            return (rational_sq > surd_sq) - (rational_sq < surd_sq)
-        return (surd_sq > rational_sq) - (surd_sq < rational_sq)
+        return _sign(self.a, self.b, self.r)
 
     def __abs__(self):
-        return -self if self.sign() < 0 else Surd(self.a, self.b, self.r)
+        return self if self.sign() >= 0 else -self
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.r)
+        a, b = self.a, self.b
+        if not (a < 0 < b or b < 0 < a):
+            return float(a) + float(b) * math.sqrt(self.r)
+        # opposite signs cancel: a + b*sqrt(r) = (a^2 - b^2 r) / (a - b*sqrt(r)),
+        # whose numerator is one exact int / int division and whose
+        # denominator adds two terms of one sign
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        num = (an * an * bd * bd - bn * bn * self.r * ad * ad) / (ad * ad * bd * bd)
+        return num / (float(a) - float(b) * math.sqrt(self.r))
 
     def _cmp(self, other, op):
         if isinstance(other, float):
@@ -142,15 +142,15 @@ class Surd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        try:
-            sign = (self - o).sign()
-        except ArithmeticError:
-            # distinct radicands: order by value; normalised surds over
-            # different radicands can never be exactly equal, so the float
-            # comparison is decisive
-            a, b = float(self), float(o)
-            sign = (a > b) - (a < b)
-        return op(sign, 0)
+        # self - other = u + p*sqrt(r) + q*sqrt(s), in one field when r == s
+        # or one side is rational
+        u, p, r, q, s = self.a - o.a, self.b, self.r, -o.b, o.r
+        if r == s or not p or not q:
+            return op(_sign(u, p + q, r or s), 0)
+        # v = p*sqrt(r) + q*sqrt(s) has the sign of sqrt(r)*v = p*r + q*sqrt(rs),
+        # and v|v| = sign(v) * (p^2 r + q^2 s + 2pq*sqrt(rs))
+        sv = _sign(p * r, q, r * s)
+        return op(_sign(u * abs(u) + sv * (p * p * r + q * q * s), 2 * sv * p * q, r * s), 0)
 
     def __eq__(self, other):
         return self._cmp(other, operator.eq)
@@ -182,6 +182,14 @@ class Surd:
         if self.a == 0:
             return root if self.b > 0 else f"-{root}"
         return f"{self.a} {'+' if self.b > 0 else '-'} {root}"
+
+
+def _sign(a, b, r: int) -> int:
+    # sign(a + b*sqrt(r)) for rational a, b and integer r >= 0, as the sign
+    # of a|a| + b|b|r over the common denominator (a.d * b.d)^2
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    x = an * abs(an) * bd * bd + bn * abs(bn) * r * ad * ad
+    return (x > 0) - (x < 0)
 
 
 def _normal_surd(a: Fraction, b: Fraction, r: int) -> Surd:

@@ -96,15 +96,7 @@ class VerificationReport:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "cases": self.cases,
-            "max_dev": self.max_dev,
-            "violations": self.violations,
-            "witnesses": self.witnesses,
-            "pass": self.passed,
-        }
+        return {**vars(self), "pass": self.passed}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
@@ -113,10 +105,12 @@ class VerificationReport:
 def enumerate_partitions(n: int) -> list[MultipartiteSpec]:
     """The partitions of n into two or more classes, each in non-increasing
     order, largest first: the connected complete multipartite graphs of
-    order n.  The edgeless single class [n] is not among them.
+    order n.  The edgeless single class [n] is not among them.  An n with
+    over _SWEEP_CAP of them (n >= 46) raises PreconditionViolatedError first.
     """
     if n < 1:
         raise ValueError(f"partitions need n >= 1, got {n}")
+    _check_sweep_size(n)
     return list(_connected_partitions(n))
 
 
@@ -207,14 +201,11 @@ def _violation(report, spec, check, expected, actual) -> None:
 
 
 def _adjacency_stack(sources) -> np.ndarray:
-    # the specs among equal-order sources are built by one kernel call; a
-    # Graph (a pair order's product or partner) brings its own adjacency
-    specs = [s for s in sources if isinstance(s, MultipartiteSpec)]
-    if len(specs) == len(sources):
-        return _multipartite_adjacency(specs)
-    built = iter(_multipartite_adjacency(specs) if specs else ())
-    return np.stack([next(built) if isinstance(s, MultipartiteSpec) else s.adjacency
-                     for s in sources])
+    # each run of specs among equal-order sources is built by one kernel
+    # call; a Graph (a pair order's product or partner) brings its own adjacency
+    runs = itertools.groupby(sources, lambda s: isinstance(s, MultipartiteSpec))
+    return np.concatenate([_multipartite_adjacency(list(run)) if is_spec
+                           else np.stack([g.adjacency for g in run]) for is_spec, run in runs])
 
 
 def _eccentricity_chunks(labelled):

@@ -184,6 +184,32 @@ def split_square_by_trial_division(r: int) -> tuple[int, int]:
     return k, r
 
 
+def surd_bracket(x, k: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= x.a + x.b*sqrt(x.r) <= hi, from the integer square
+    root of x.r at k bits below the point: isqrt(r * 4**k) / 2**k <= sqrt(r)."""
+    root = math.isqrt(x.r * 4**k)
+    lo, hi = x.a + x.b * Fraction(root, 2**k), x.a + x.b * Fraction(root + 1, 2**k)
+    return min(lo, hi), max(lo, hi)
+
+
+def compare_surds_by_bracketing(x, y) -> int:
+    """-1, 0 or 1 as x <, == or > y, for Surds in normal form.
+
+    Two values are equal only when their normal forms are; otherwise k
+    doubles until the brackets of x and y separate.
+    """
+    if (x.a, x.b, x.r) == (y.a, y.b, y.r):
+        return 0
+    k = 1
+    while True:
+        (x_lo, x_hi), (y_lo, y_hi) = surd_bracket(x, k), surd_bracket(y, k)
+        if x_hi < y_lo:
+            return -1
+        if y_hi < x_lo:
+            return 1
+        k *= 2
+
+
 def char_poly_by_leibniz(matrix) -> list[int]:
     """det(xI - A) of an integer matrix, leading coefficient first, as the
     Leibniz sum over permutations of sign * prod_i (x[i == s(i)] - A[i, s(i)])."""

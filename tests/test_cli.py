@@ -67,6 +67,13 @@ def test_energy_prints_twelve_significant_digits(capsys):
     assert out.strip() == f"{4 + 2 * math.sqrt(7):.12g}"
 
 
+def test_spectrum_prints_a_cancelling_root_to_twelve_digits(capsys):
+    # K_{2,1,...,1} with 1000 singletons: (1001 - sqrt(1002009)) / 2 = -0.00199799800999394...
+    code, out, _ = run(capsys, "spectrum", "--parts", ",".join(["2"] + ["1"] * 1000))
+    assert code == 0
+    assert out.splitlines()[1] == "-0.00199799800999 1"
+
+
 def test_bounds_text_output(capsys):
     code, out, _ = run(capsys, "bounds", "--n", "4")
     assert code == 0

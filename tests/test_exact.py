@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eccspec.exact import Surd, _split_square, quadratic_roots, simplify_value
-from helpers import split_square_by_trial_division
+from helpers import compare_surds_by_bracketing, split_square_by_trial_division, surd_bracket
 
 
 def test_normalisation_pulls_out_square_factors():
@@ -127,6 +127,62 @@ def test_exact_order_agrees_with_well_separated_floats(xyz):
     if abs(fx - fy) > 1e-9 * max(abs(fx), abs(fy)):
         assert (x < y) is (fx < fy)
         assert (x == y) is False
+
+
+def test_surds_over_two_close_radicands_compare_exactly():
+    # sqrt(n^2 + 1) - (sqrt(n^2 + 2) - 1/(2n)) = 3/(8n^3) = 3.75e-19, far
+    # below the spacing of floats near 10**6
+    n = 10**6
+    x, y = Surd(0, 1, n * n + 1), Surd(Fraction(-1, 2 * n), 1, n * n + 2)
+    assert float(x) == float(y)
+    assert x > y and x >= y and y < x and y <= x
+    assert x != y and not x == y
+
+
+RADICANDS = st.one_of(st.integers(0, 60), st.integers(1, 10**6).map(lambda n: n * n + 1))
+
+
+@st.composite
+def surd_pairs(draw):
+    # x over one radicand, y over another (or the same): drawn freely, equal
+    # to x but spelled with a square factor, or with its rational part
+    # rounded from x - b*sqrt(s), so that x and y agree to many digits
+    x = Surd(draw(COEFFS), draw(COEFFS), draw(RADICANDS))
+    kind = draw(st.sampled_from(["free", "equal", "near"]))
+    if kind == "equal":
+        k = draw(st.integers(1, 5))
+        return x, Surd(x.a, x.b / k, x.r * k * k)
+    b, s = draw(COEFFS), draw(RADICANDS)
+    if kind == "near":
+        digits = draw(st.integers(3, 15))
+        a = Fraction(float(x) - float(b) * math.sqrt(s)).limit_denominator(10**digits)
+    else:
+        a = draw(COEFFS)
+    return x, Surd(a, b, s)
+
+
+@settings(max_examples=300)
+@given(surd_pairs())
+def test_order_across_radicands_agrees_with_the_bracketing_oracle(xy):
+    x, y = xy
+    want = compare_surds_by_bracketing(x, y)
+    assert (x < y, x == y, x > y) == (want < 0, want == 0, want > 0)
+    assert (y < x, y == x, y > x) == (want > 0, want == 0, want < 0)
+    assert (x <= y, x >= y, x != y) == (want <= 0, want >= 0, want != 0)
+    for z in xy:
+        assert z.sign() == compare_surds_by_bracketing(z, Surd(0))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("singles", [10**3, 10**4, 10**5])
+def test_float_of_a_cancelling_surd_is_within_two_ulp(singles):
+    # the small root of K_{2,1,...,1}'s quotient, (s + 1 - sqrt((s+1)^2 + 8)) / 2,
+    # sums two terms of opposite sign that agree to about 2 log10(s) digits
+    x = Surd(Fraction(singles + 1, 2), Fraction(-1, 2), (singles + 1) ** 2 + 8)
+    lo, hi = surd_bracket(x, 200)
+    value = float(x)
+    assert lo - 2 * Fraction(math.ulp(value)) <= Fraction(value) <= hi + 2 * Fraction(math.ulp(value))
 
 
 def test_quadratic_roots_irrational():

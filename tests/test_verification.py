@@ -95,6 +95,16 @@ def test_enumerate_partitions_reaches_the_sweep_cap():
     assert len(es.enumerate_partitions(45)) == 89133
 
 
+@pytest.mark.parametrize("n", [46, 100])
+def test_enumerate_partitions_past_the_sweep_cap_is_rejected_before_any_partition(monkeypatch, n):
+    def refuse(n, smallest=1):
+        raise AssertionError("a partition was enumerated")
+
+    monkeypatch.setattr(verification, "_connected_partitions", refuse)
+    with pytest.raises(PreconditionViolatedError, match=f"order {n} has over 100000 partitions"):
+        es.enumerate_partitions(n)
+
+
 def test_closed_forms_report_small_order():
     report = es.verify_closed_forms(5)
     assert report.passed
