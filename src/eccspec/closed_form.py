@@ -127,10 +127,10 @@ def _quotient_roots(distinct_sizes: list[tuple[int, int]], singles: int, poly: l
     # quotient: diagonal 2(m-1) per distinct size and singles-1 in the
     # corner, border sqrt(singles*m*count).  The roots are simple and
     # strictly interlace the distinct even diagonal values, so no other root
-    # lies within 1/2 of an integer root: rounding each eigenvalue and
-    # confirming it as an exact zero of the integer polynomial (horner)
-    # recovers every integer root as an int, the complete graph's singles-1
-    # included.
+    # lies within 1/2 of an integer root: rounding an eigenvalue within 1/4
+    # of an integer and confirming it as an exact zero of the integer
+    # polynomial (horner) recovers every integer root as an int, the
+    # complete graph's singles-1 included.
     if len(poly) == 3:
         return list(quadratic_roots(-poly[1], poly[2]))
     arrow = np.diag([2.0 * (m - 1) for m, _ in distinct_sizes] + [singles - 1.0])
@@ -139,7 +139,7 @@ def _quotient_roots(distinct_sizes: list[tuple[int, int]], singles: int, poly: l
     out = []
     for root in np.linalg.eigvalsh(arrow).tolist():
         r = round(root)
-        out.append(r if horner(poly, r) == 0 else root)
+        out.append(r if abs(root - r) < 0.25 and horner(poly, r) == 0 else root)
     return out
 
 

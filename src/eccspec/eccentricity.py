@@ -5,7 +5,7 @@ min(ecc(u), ecc(v)) and zeroes it otherwise.  For connected graphs of diameter
 2 whose maximum degree is below n-1 the matrix is exactly twice the adjacency
 matrix of the complement, which gives a cheap independent construction route.
 Each route is one kernel over a stack of equal-order graphs: the defining rule
-zeroes a stack of distance matrices in place, and the complement route
+zeroes a stack of Seidel distance matrices in place, and the complement route
 confirms its preconditions on an adjacency stack with one squaring.
 eccentricity_matrix and ecc_via_complement apply them to a stack of one and
 return the same read-only int64 EccentricityMatrix, whichever route built it;
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolatedError
-from .graphs import Graph, _seidel, all_pairs_distances
+from .graphs import Graph, _seidel
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ def _eccentricity_stack(dist: np.ndarray) -> np.ndarray:
 
 
 def eccentricity_matrix(g: Graph) -> EccentricityMatrix:
-    """Entry (u,v) is d(u,v) when d(u,v) = min(ecc(u), ecc(v)), else 0."""
-    kept = _eccentricity_stack(all_pairs_distances(g).matrix[None].copy())[0]
+    """Entry (u,v) is d(u,v) when d(u,v) = min(ecc(u), ecc(v)), else 0.
+    Raises DisconnectedGraphError when some pair is unreachable."""
+    kept = _eccentricity_stack(_seidel(g.adjacency[None]))[0]
     return EccentricityMatrix(_freeze(kept))
 
 

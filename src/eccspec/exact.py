@@ -39,8 +39,8 @@ class Surd:
     b == 0, r == 0.  Addition and multiplication are closed as long as both
     operands share the same radicand; mixing radicands raises, since the
     result would leave the representable field.  Comparisons with an int, a
-    Fraction or a Surd of any radicand are exact; only a float operand is
-    compared as a float.
+    Fraction, a finite float (as the Fraction it holds) or a Surd of any
+    radicand are exact; +-inf and nan order as floats.
     """
 
     __slots__ = ("a", "b", "r")
@@ -138,7 +138,9 @@ class Surd:
 
     def _cmp(self, other, op):
         if isinstance(other, float):
-            return op(float(self), other)
+            if not math.isfinite(other):  # any finite stand-in orders alike
+                return op(0.0, other)
+            other = Fraction(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -29,8 +29,8 @@ from .errors import (
 
 # Largest order a graph may have.  Dense storage keeps a handful of n x n
 # matrices alive at once (adjacency, distances, the eccentricity matrix): at
-# this order the eccentricity matrix of a diameter-2 graph peaks at about
-# 330 MB.  Closed forms of multipartite specs build no graph and need no bound.
+# this order `eccmx` on a diameter-2 graph peaks at about 295 MB (263 MB in
+# eccentricity_matrix).  Closed forms of multipartite specs need no bound.
 MAX_ORDER = 4096
 
 

@@ -304,17 +304,13 @@ def _check_spectrum(report, labels, closed, spectra) -> tuple[list[list], list[b
     size, values and unmerged multiplicities.
 
     Returns each member's findings, in check order, and whether its size
-    matched; a size mismatch leaves no values to pair.  The closed entries
-    are expanded in Python, and one array of the matched members gives
-    every deviation, which goes to the report's max_dev.
+    matched; a size mismatch leaves no values to pair.  Each closed form is
+    expanded by ClosedFormSpectrum.eigenvalues(), the expansion users get,
+    and one array of the matched members gives every deviation, which goes
+    to the report's max_dev.
     """
     found = [[] for _ in labels]
-    expanded = []
-    for entries in (c.entries for c in closed):
-        values = []
-        for value, mult in entries:
-            values += [float(value)] * mult
-        expanded.append(values)
+    expanded = [c.eigenvalues() for c in closed]
     sized = [len(values) == numeric.n for values, numeric in zip(expanded, spectra)]
     for i, ok in enumerate(sized):
         if not ok:
@@ -328,7 +324,7 @@ def _check_spectrum(report, labels, closed, spectra) -> tuple[list[list], list[b
         _record(report, dev)
         if dev >= TOL_MATCH:
             found[i].append(_finding(labels[i], "spectrum_values",
-                                     list(spectra[i].eigenvalues), expanded[i]))
+                                     list(spectra[i].eigenvalues), expanded[i].tolist()))
         if [m for _, m in closed[i].entries] != [m for _, m in spectra[i].groups]:
             found[i].append(_finding(
                 labels[i],

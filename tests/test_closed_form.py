@@ -19,6 +19,7 @@ from eccspec.errors import (
     PreconditionViolatedError,
 )
 from eccspec.exact import Surd
+from eccspec.poly import horner
 from helpers import char_poly_by_leibniz, eccentricity_by_definition
 
 
@@ -90,6 +91,36 @@ def test_integer_quotient_roots_stay_exact():
         assert entry in closed.entries
     assert all(type(value) is int for value, _ in closed.entries)
     assert closed.energy_exact() == 34
+
+
+@pytest.mark.parametrize("specs", [
+    [spec for n in range(2, 17) for spec in es.enumerate_partitions(n)],
+    [es.MultipartiteSpec((3,) * 6 + (2,) + (1,) * 10)],  # lambda_min = -8
+], ids=["n<=16", "K_{3^6,2,1^10}"])
+def test_only_integer_quotient_roots_are_kept_as_ints(monkeypatch, specs):
+    # the Horner confirmation runs only near an integer: every int root it
+    # keeps is an exact zero, and no float root rounds to one
+    found = []
+    original = closed_form._quotient_roots
+
+    def recording(sizes, singles, poly):
+        roots = original(sizes, singles, poly)
+        found.append((poly, roots))
+        return roots
+
+    monkeypatch.setattr(closed_form, "_quotient_roots", recording)
+    for spec in specs:
+        closed = es.multipartite_spectrum_closed(spec)
+        for value, _ in closed.entries:
+            if isinstance(value, float):
+                assert horner(closed.quotient_poly, round(value)) != 0
+    assert found
+    for poly, roots in found:
+        for root in roots:
+            if type(root) is int:
+                assert horner(poly, root) == 0
+            elif isinstance(root, float):
+                assert horner(poly, round(root)) != 0
 
 
 def test_twenty_distinct_class_sizes_match_the_eigensolver():

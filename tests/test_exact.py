@@ -175,6 +175,34 @@ def test_order_across_radicands_agrees_with_the_bracketing_oracle(xy):
         assert hash(x) == hash(y)
 
 
+def test_a_surd_compares_exactly_with_the_float_nearest_it():
+    # the double nearest sqrt(2) is 1.41421356237309514..., just above it
+    x, f = Surd(0, 1, 2), math.sqrt(2)
+    assert x != f and not x == f
+    assert x < f and f > x and not x > f
+    half = Surd(Fraction(1, 2))
+    assert half == 0.5 and hash(half) == hash(0.5)
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+DYADICS = st.builds(lambda k, e: k / 2**e, st.integers(-10**6, 10**6), st.integers(0, 30))
+
+
+@settings(max_examples=300)
+@given(surd_pairs(), st.lists(st.one_of(FINITE_FLOATS, DYADICS), max_size=3))
+def test_order_against_floats_agrees_with_the_bracketing_oracle(xy, drawn):
+    for x in xy:
+        for f in [float(x), float(x.a), *drawn]:
+            want = compare_surds_by_bracketing(x, Surd(Fraction(f)))
+            assert (x < f, x == f, x > f) == (want < 0, want == 0, want > 0)
+            assert (f > x, f == x, f < x) == (want < 0, want == 0, want > 0)
+            if x == f:
+                assert hash(x) == hash(f)
+        for f in [math.inf, -math.inf, math.nan]:
+            for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+                assert op(x, f) is op(0.0, f) and op(f, x) is op(f, 0.0)
+
+
 @pytest.mark.parametrize("singles", [10**3, 10**4, 10**5])
 def test_float_of_a_cancelling_surd_is_within_two_ulp(singles):
     # the small root of K_{2,1,...,1}'s quotient, (s + 1 - sqrt((s+1)^2 + 8)) / 2,

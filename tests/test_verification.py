@@ -496,6 +496,26 @@ def test_a_perturbed_closed_form_flags_only_its_own_spec(monkeypatch, smallest_p
     assert report.cases == len(es.enumerate_partitions(16))
 
 
+@pytest.mark.parametrize("smallest_part", [1, 2])
+def test_the_sweep_checks_the_expansion_users_get(monkeypatch, smallest_part):
+    # shifting the first value ClosedFormSpectrum.eigenvalues() gives for
+    # one spec must flag that spec alone
+    spec = _mid_stack_spec(16, smallest_part)
+    target = es.multipartite_spectrum_closed(spec)
+    original = closed_form.ClosedFormSpectrum.eigenvalues
+
+    def shifted(closed):
+        values = original(closed)
+        if closed == target:
+            values[0] += 1e-6
+        return values
+
+    monkeypatch.setattr(closed_form.ClosedFormSpectrum, "eigenvalues", shifted)
+    report = es.verify_closed_forms(16)
+    assert [(v["spec"], v["check"]) for v in report.violations] == [
+        (list(spec.parts), "spectrum_values")]
+
+
 def test_a_perturbed_block_quotient_flags_only_its_own_member(monkeypatch):
     # the layout of a spec with a singleton names it: its large classes,
     # then the clique
