@@ -72,7 +72,7 @@ class ClosedFormSpectrum:
     def trace(self):
         """Sum of value*multiplicity; exact unless float entries are present."""
         if self._has_float():
-            return float(sum(float(v) * m for v, m in self.entries))
+            return math.fsum(float(v) * m for v, m in self.entries)
         return simplify_value(sum((v * m for v, m in self.entries), Surd(0)))
 
     def energy_exact(self):
@@ -85,7 +85,7 @@ class ClosedFormSpectrum:
         exact = self.energy_exact()
         if exact is not None:
             return float(exact)
-        return float(sum(abs(float(v)) * m for v, m in self.entries))
+        return math.fsum(abs(float(v)) * m for v, m in self.entries)
 
 
 def _sorted_entries(pairs) -> tuple[tuple[object, int], ...]:

@@ -195,10 +195,11 @@ def _group_stack(eigs: np.ndarray, tols: np.ndarray) -> list[Spectrum]:
 
     One gap test serves the whole stack: a group ends where
     eigs[:, j] - eigs[:, j + 1] > tol.  Each group reports the arithmetic
-    mean of its members, summed left to right in Python floats, which
-    cancels the symmetric part of the solver noise.  Eigenvalues must be
-    finite, and tolerances finite and >= 0: a NaN gap test never splits, so
-    a NaN in either would merge everything into one group.
+    mean of its members, their correctly rounded math.fsum sum over the
+    count, which cancels the symmetric part of the solver noise and gives
+    the same bits on every Python.  Eigenvalues must be finite, and
+    tolerances finite and >= 0: a NaN gap test never splits, so a NaN in
+    either would merge everything into one group.
     """
     valid = np.isfinite(tols) & (tols >= 0)
     if not valid.all():
@@ -212,7 +213,7 @@ def _group_stack(eigs: np.ndarray, tols: np.ndarray) -> list[Spectrum]:
     spectra = []
     for row, count in zip(eigs.tolist(), np.bincount(rows, minlength=len(eigs)).tolist()):
         bounds = [0, *itertools.islice(splits, count), n] if n else []
-        groups = tuple((sum(row[a:b]) / (b - a), b - a) for a, b in zip(bounds, bounds[1:]))
+        groups = tuple((math.fsum(row[a:b]) / (b - a), b - a) for a, b in zip(bounds, bounds[1:]))
         spectra.append(Spectrum(tuple(row), groups, n))
     return spectra
 
@@ -245,8 +246,9 @@ def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:
 
 
 def energy(spectrum: Spectrum) -> float:
-    """Sum of absolute eigenvalues."""
-    return float(sum(abs(x) for x in spectrum.eigenvalues))
+    """Sum of absolute eigenvalues, correctly rounded by math.fsum, so the
+    same on every Python."""
+    return math.fsum(abs(x) for x in spectrum.eigenvalues)
 
 
 def spectral_radius(spectrum: Spectrum) -> float:

@@ -3,8 +3,8 @@
 Each verifier enumerates integer partitions, builds the actual graphs, runs
 the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
-Partitions come from a loop, in reverse lexicographic order, each built
-sorted and handed on without a second sort or check.
+Partitions come from one depth-first walk, in reverse lexicographic order,
+each built sorted and handed on without a second sort or check.
 The equal-order specs of a sweep go through the chain in stacks of at most
 `_STACK_CELLS` matrix entries (or of one matrix, when it alone is larger),
 so a stack holds more small matrices than large ones: one adjacency stack
@@ -115,49 +115,19 @@ def enumerate_partitions(n: int) -> list[MultipartiteSpec]:
 
 
 def _connected_partitions(n: int, smallest: int = 1):
-    # partitions of n into at least two parts, each >= smallest, by a loop
-    # in reverse lexicographic order, the order of Zoghbi & Stojmenovic's
-    # ZS1 (1998); each tuple is built sorted and positive, so the spec takes
-    # it as it is
-    parts = _largest_fill(n, n - 1, smallest)
-    while parts:
-        yield MultipartiteSpec._from_sorted(tuple(parts))
-        parts = _next_partition(parts, smallest)
-
-
-def _next_partition(parts: list[int], smallest: int) -> list[int]:
-    # the next partition after parts, in place, or [] after the last: it
-    # keeps the longest prefix it can, shrinks the part after it by as
-    # little as lets the parts behind refill with sizes between smallest
-    # and the shrunk part, and refills them as large as possible
-    tail = 0
-    while parts:
-        part = parts.pop()
-        tail += part
-        for cap in range(part - 1, smallest - 1, -1):
-            rest = _largest_fill(tail - cap, cap, smallest)
-            if rest:
-                parts.append(cap)
-                parts += rest
-                return parts
-    return parts
-
-
-def _largest_fill(total: int, cap: int, smallest: int) -> list[int]:
-    # the lexicographically largest partition of total > 0 into parts
-    # between smallest and cap, or [] when there is none: it has the fewest
-    # parts cap allows, and each part is as large as the parts after it
-    # still allow
-    if cap < smallest:
-        return []
-    count = -(-total // cap)
-    if count * smallest > total:
-        return []
-    fill = []
-    for left in range(count - 1, -1, -1):
-        fill.append(min(cap, total - left * smallest))
-        total -= fill[-1]
-    return fill
+    # partitions of n into at least two parts, each >= smallest, in reverse
+    # lexicographic order, by a depth-first walk over (parts so far, what is
+    # left, largest next part allowed).  A node's first partition takes all
+    # that is left as its last part; its other children are pushed smallest
+    # first, so the largest comes off the stack next.  Each tuple is built
+    # sorted and positive, so the spec takes it as it is
+    stack = [((), n, n - 1)]
+    while stack:
+        parts, left, cap = stack.pop()
+        if left <= cap:
+            yield MultipartiteSpec._from_sorted(parts + (left,))
+        for part in range(smallest, min(left - smallest, cap) + 1):
+            stack.append((parts + (part,), left - part, part))
 
 
 def _sweep_sizes(n: int, smallest: int = 1):

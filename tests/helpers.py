@@ -53,21 +53,39 @@ def partitions_by_brute_force(n: int, smallest: int = 1) -> list[tuple[int, ...]
     return sorted((parts for parts in table[n] if len(parts) >= 2), reverse=True)
 
 
+def compensated_sum(values, start=0):
+    """The builtin sum() as Python 3.12 and later run it on floats: each
+    addition's rounding error goes into a second float (Neumaier's
+    compensation), which is added back at the end when it is finite.  Any
+    other input goes to the builtin."""
+    values = list(values)
+    if not values or type(start) not in (int, float) or any(type(x) is not float for x in values):
+        return sum(values, start)
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
 def group_rows_by_loop(eigs, tols) -> list[tuple[tuple[float, ...], tuple[tuple[float, int], ...]]]:
     """(eigenvalues, groups) of each descending row, one value at a time: a
     value further than its row's tol below the previous one starts a new
-    group, and each group reports the sum of its members, left to right,
-    over their count."""
+    group, and each group reports the sum of its members, added exactly as
+    fractions and then rounded once to a float, over their count."""
     out = []
     for row, tol in zip(np.asarray(eigs).tolist(), np.asarray(tols).tolist()):
         groups, block = [], []
         for value in row:
             if block and block[-1] - value > tol:
-                groups.append((sum(block) / len(block), len(block)))
+                groups.append((float(sum(map(Fraction, block))) / len(block), len(block)))
                 block = []
             block.append(value)
         if block:
-            groups.append((sum(block) / len(block), len(block)))
+            groups.append((float(sum(map(Fraction, block))) / len(block), len(block)))
         out.append((tuple(row), tuple(groups)))
     return out
 

@@ -13,10 +13,12 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
 from eccspec.cli import main
+from helpers import compensated_sum
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
@@ -37,6 +39,17 @@ def test_cli_output_matches_the_golden_transcript(case):
     code, stdout = _capture(case["argv"])
     assert stdout == case["stdout"]
     assert code == case["code"]
+
+
+def test_golden_transcripts_do_not_depend_on_how_sum_rounds(monkeypatch):
+    # Python 3.12 made the builtin float sum() compensated; swapping that rule
+    # into every eccspec module must leave each transcript as it is
+    for name, module in list(sys.modules.items()):
+        if name == "eccspec" or name.startswith("eccspec."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    changed = [" ".join(case["argv"]) for case in _load()
+               if _capture(case["argv"]) != (case["code"], case["stdout"])]
+    assert changed == []
 
 
 if __name__ == "__main__":

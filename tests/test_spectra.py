@@ -331,6 +331,14 @@ def test_energy_is_twice_the_positive_part_when_trace_vanishes():
         assert es.energy(s) == pytest.approx(2 * positive, abs=1e-9)
 
 
+def test_energy_and_group_means_are_correctly_rounded_sums():
+    # a left-to-right float sum of ten 0.1s is 0.9999999999999999 before
+    # Python 3.12 and 1.0 after; math.fsum is 1.0 on every version
+    s = es.group_spectrum([0.1] * 10, 0.0)
+    assert es.energy(s) == 1.0
+    assert s.groups == ((0.1, 10),)
+
+
 def test_spectral_radius_examples():
     assert es.spectral_radius(es.matrix_spectrum(ecc([3, 1]))) == pytest.approx(2 + math.sqrt(7))
     assert es.spectral_radius(es.matrix_spectrum(ecc([1, 1, 1, 1]))) == pytest.approx(3)

@@ -90,6 +90,17 @@ def test_connected_partitions_match_the_brute_force_oracle(smallest):
             assert all(type(part) is int for part in spec.parts)
 
 
+def test_connected_partitions_of_zero_and_one_are_empty():
+    assert list(verification._connected_partitions(0)) == []
+    assert list(verification._connected_partitions(1)) == []
+
+
+def test_connected_partitions_are_walked_lazily():
+    # the first three of n = 200's 3.97e12 partitions come without the rest
+    first = itertools.islice(verification._connected_partitions(200), 3)
+    assert [spec.parts for spec in first] == [(199, 1), (198, 2), (198, 1, 1)]
+
+
 def test_enumerate_partitions_reaches_the_sweep_cap():
     # p(45) = 89134 counts the single class too; order 46 is past the cap
     assert len(es.enumerate_partitions(45)) == 89133
