@@ -16,6 +16,11 @@ The spectrum of K_{n1,...,np} comes from one of two routes:
   gives exact quadratic surds; otherwise the roots are the eigenvalues of
   the symmetric arrowhead similar to the quotient, with integer roots kept
   exact (the complete graph's n - 1 among them) and the rest as floats.
+
+A list of specs is one stack (`_closed_stack`): the arrowheads of equal
+order in it are solved by one batched eigvalsh call, which gives each the
+bits it gets alone.  multipartite_spectrum_closed is a stack of one, and the
+verification sweep passes each of its stacks whole.
 """
 
 import math
@@ -121,26 +126,75 @@ def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> lis
     return poly
 
 
-def _quotient_roots(distinct_sizes: list[tuple[int, int]], singles: int, poly: list[int]) -> list:
+def _quotient_roots(quotients: list[tuple[list[tuple[int, int]], int, list[int]]]) -> list[list]:
+    # The simple roots of each (distinct sizes, singles, poly) quotient.
     # Degree 2 (one distinct large size) keeps exact surds.  Otherwise the
     # roots are the eigenvalues of the symmetric arrowhead similar to the
     # quotient: diagonal 2(m-1) per distinct size and singles-1 in the
-    # corner, border sqrt(singles*m*count).  The roots are simple and
-    # strictly interlace the distinct even diagonal values, so no other root
-    # lies within 1/2 of an integer root: rounding an eigenvalue within 1/4
-    # of an integer and confirming it as an exact zero of the integer
-    # polynomial (horner) recovers every integer root as an int, the
-    # complete graph's singles-1 included.
-    if len(poly) == 3:
-        return list(quadratic_roots(-poly[1], poly[2]))
-    arrow = np.diag([2.0 * (m - 1) for m, _ in distinct_sizes] + [singles - 1.0])
-    border = np.sqrt([float(singles * m * count) for m, count in distinct_sizes])
-    arrow[-1, :-1] = arrow[:-1, -1] = border
-    out = []
-    for root in np.linalg.eigvalsh(arrow).tolist():
-        r = round(root)
-        out.append(r if abs(root - r) < 0.25 and horner(poly, r) == 0 else root)
-    return out
+    # corner, border sqrt(singles*m*count); the arrowheads of one order are
+    # solved by one batched eigvalsh call, which solves each as it would
+    # alone.  The roots are simple and strictly interlace the distinct even
+    # diagonal values, so no other root lies within 1/2 of an integer root:
+    # rounding an eigenvalue within 1/4 of an integer and confirming it as
+    # an exact zero of the integer polynomial (horner) recovers every
+    # integer root as an int, the complete graph's singles-1 included.
+    roots: list = [None] * len(quotients)
+    arrows: dict[int, list] = {}  # (index, arrowhead) by order
+    for i, (sizes, singles, poly) in enumerate(quotients):
+        if len(poly) == 3:
+            roots[i] = list(quadratic_roots(-poly[1], poly[2]))
+            continue
+        arrow = np.diag([2.0 * (m - 1) for m, _ in sizes] + [singles - 1.0])
+        arrow[-1, :-1] = arrow[:-1, -1] = np.sqrt([float(singles * m * count) for m, count in sizes])
+        arrows.setdefault(len(arrow), []).append((i, arrow))
+    for group in arrows.values():
+        members, stack = zip(*group)
+        for i, eigs in zip(members, np.linalg.eigvalsh(np.stack(stack)).tolist()):
+            poly = quotients[i][2]
+            roots[i] = [r if abs(root - r) < 0.25 and horner(poly, r) == 0 else root
+                        for root, r in zip(eigs, map(round, eigs))]
+    return roots
+
+
+def _closed_stack(specs) -> list[ClosedFormSpectrum]:
+    """The exact eccentricity spectra of a list of complete multipartite
+    graphs, in order; multipartite_spectrum_closed is a stack of one.
+
+    Every spec is validated before any arithmetic, as
+    multipartite_spectrum_closed documents.  The quotient roots of the whole
+    stack come from one _quotient_roots call, so the arrowheads of equal
+    order share one eigvalsh call.
+    """
+    specs = [as_spec(parts) for parts in specs]
+    for spec in specs:
+        if spec.p == 1 and spec.n > 1:
+            raise DisconnectedSpecError(
+                f"{spec} has a single class and therefore no edges"
+            )
+        if spec.n > MAX_CLOSED_ORDER:
+            raise OrderTooLargeError(
+                f"order {spec.n} exceeds the closed form's maximum of {MAX_CLOSED_ORDER} vertices"
+            )
+    closed: list = []
+    mixed = []  # (index, structural pairs, quotient) per spec with a singleton
+    for spec in specs:
+        large = [x for x in spec.parts if x >= 2]
+        singles = spec.p - len(large)
+        if singles == 0:
+            pairs = [(2 * (size - 1), count) for size, count in Counter(large).items()]
+            pairs.append((-2, spec.n - spec.p))
+            closed.append(ClosedFormSpectrum(_sorted_entries(pairs), CASE_ALL_PARTS_GE_2))
+            continue
+        counts = sorted(Counter(large).items(), reverse=True)
+        pairs = [(-2, sum(large) - len(large)), (-1, singles - 1)]
+        pairs.extend((2 * (size - 1), count - 1) for size, count in counts)
+        mixed.append((len(closed), pairs, (counts, singles, _arrow_char_poly(counts, singles))))
+        closed.append(None)
+    quotients = [quotient for _, _, quotient in mixed]
+    for (i, pairs, (_, _, poly)), roots in zip(mixed, _quotient_roots(quotients)):
+        pairs.extend((root, 1) for root in roots)
+        closed[i] = ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, tuple(poly))
+    return closed
 
 
 def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
@@ -151,29 +205,7 @@ def multipartite_spectrum_closed(parts) -> ClosedFormSpectrum:
     the singleton route and has the spectrum {0}.  Orders above
     MAX_CLOSED_ORDER are rejected before any arithmetic.
     """
-    spec = as_spec(parts)
-    if spec.p == 1 and spec.n > 1:
-        raise DisconnectedSpecError(
-            f"{spec} has a single class and therefore no edges"
-        )
-    if spec.n > MAX_CLOSED_ORDER:
-        raise OrderTooLargeError(
-            f"order {spec.n} exceeds the closed form's maximum of {MAX_CLOSED_ORDER} vertices"
-        )
-    large = [x for x in spec.parts if x >= 2]
-    singles = spec.p - len(large)
-
-    if singles == 0:
-        pairs = [(2 * (size - 1), count) for size, count in Counter(large).items()]
-        pairs.append((-2, spec.n - spec.p))
-        return ClosedFormSpectrum(_sorted_entries(pairs), CASE_ALL_PARTS_GE_2)
-
-    counts = sorted(Counter(large).items(), reverse=True)
-    poly = _arrow_char_poly(counts, singles)
-    pairs = [(-2, sum(large) - len(large)), (-1, singles - 1)]
-    pairs.extend((2 * (size - 1), count - 1) for size, count in counts)
-    pairs.extend((root, 1) for root in _quotient_roots(counts, singles, poly))
-    return ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, tuple(poly))
+    return _closed_stack([parts])[0]
 
 
 def radius_upper_bound(n: int, allow_small: bool = False) -> float:

@@ -1,5 +1,6 @@
 """Closed-form spectra, energies, bounds, product spectra, equienergetic pairs."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -103,9 +104,9 @@ def test_only_integer_quotient_roots_are_kept_as_ints(monkeypatch, specs):
     found = []
     original = closed_form._quotient_roots
 
-    def recording(sizes, singles, poly):
-        roots = original(sizes, singles, poly)
-        found.append((poly, roots))
+    def recording(quotients):
+        roots = original(quotients)
+        found.extend((poly, own) for (_, _, poly), own in zip(quotients, roots))
         return roots
 
     monkeypatch.setattr(closed_form, "_quotient_roots", recording)
@@ -121,6 +122,24 @@ def test_only_integer_quotient_roots_are_kept_as_ints(monkeypatch, specs):
                 assert horner(poly, root) == 0
             elif isinstance(root, float):
                 assert horner(poly, round(root)) != 0
+
+
+# sha256 of repr((entries, case_tag, quotient_poly, trace(), energy_exact()))
+# over every spec of order 2..22, in enumeration order: every bit of those
+# closed forms, their float roots included
+CLOSED_FORMS_UP_TO_22 = "394a80389099615f2e32c8b47271f0526e0f68ed2f18d3217fe0a5c9346c4e69"
+
+
+def test_stacked_closed_forms_keep_every_bit_up_to_order_22():
+    # one spec at a time, and each order as one stack, as the sweep asks
+    one, stacked = hashlib.sha256(), hashlib.sha256()
+    for n in range(2, 23):
+        specs = es.enumerate_partitions(n)
+        for spec, closed in zip(specs, closed_form._closed_stack(specs)):
+            for digest, c in [(one, es.multipartite_spectrum_closed(spec)), (stacked, closed)]:
+                digest.update(repr((c.entries, c.case_tag, c.quotient_poly, c.trace(),
+                                    c.energy_exact())).encode())
+    assert one.hexdigest() == stacked.hexdigest() == CLOSED_FORMS_UP_TO_22
 
 
 def test_twenty_distinct_class_sizes_match_the_eigensolver():

@@ -30,6 +30,20 @@ def test_char_poly_matches_the_elimination_determinant_at_order_plus_one_points(
         assert power_sum(p, x) == det_by_elimination(shifted)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 0, 0, -3, 1, 7]), min_size=k, max_size=k),
+    min_size=k, max_size=k)))
+def test_char_poly_of_mostly_zero_matrices_matches_the_elimination_determinant(rows):
+    # zeros are common, so many steps have an all-zero column above the
+    # diagonal (one times_linear each) and the row products skip entries
+    k = len(rows)
+    p = char_poly(rows)
+    for x in range(-k, k + 1, 2):
+        shifted = [[(x if i == j else 0) - a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+        assert power_sum(p, x) == det_by_elimination(shifted)
+
+
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.integers(-20, 20), st.integers(-20, 20))
 def test_times_linear_and_horner_agree_with_a_power_sum(p, d, x):
     assert horner(p, x) == power_sum(p, x)

@@ -212,10 +212,18 @@ def _split_zero_entry(closed):
     return dataclasses.replace(closed, entries=tuple(entries))
 
 
+def _member_by_member(change):
+    # a stand-in for verification._closed_stack that passes each closed form
+    # of the stack through change(spec, closed)
+    original = verification._closed_stack
+    return lambda specs: [change(spec, closed) for spec, closed in zip(specs, original(specs))]
+
+
 # (name in verification, stand-in built from the original, runner, its
 # arguments, the checks the stand-in must flag and no others)
 FAULTS = [
-    pytest.param("multipartite_spectrum_closed", lambda f: lambda spec: _drop_last_eigenvalue(f(spec)),
+    pytest.param("_closed_stack",
+                 lambda f: lambda specs: [_drop_last_eigenvalue(closed) for closed in f(specs)],
                  es.verify_closed_forms, (5,), {"spectrum_size"}, id="spectrum_size"),
     pytest.param("_block_quotient",
                  lambda f: lambda stack, layouts: (f(stack, layouts)[0], [False] * len(layouts)),
@@ -338,16 +346,13 @@ def test_char_poly_of_zero_and_small_matrices():
 
 def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
     # entries stay intact, so only the exact quotient identity can notice
-    original = verification.multipartite_spectrum_closed
-
-    def tampered(spec):
-        closed = original(spec)
+    def tampered(spec, closed):
         if closed.quotient_poly is None:
             return closed
         *head, last = closed.quotient_poly
         return dataclasses.replace(closed, quotient_poly=(*head, last + 1))
 
-    monkeypatch.setattr(verification, "multipartite_spectrum_closed", tampered)
+    monkeypatch.setattr(verification, "_closed_stack", _member_by_member(tampered))
     report = es.verify_closed_forms(6)
     checks = {v["check"] for v in report.violations}
     assert checks == {"quotient_char_poly"}
@@ -363,15 +368,12 @@ def test_quotient_check_reads_the_closed_form_polynomial(monkeypatch):
 
 def test_quotient_check_covers_the_complete_graph(monkeypatch):
     # K_n's quotient is the 1x1 matrix [[n - 1]], with polynomial x - (n - 1)
-    original = verification.multipartite_spectrum_closed
-
-    def tampered(spec):
-        closed = original(spec)
+    def tampered(spec, closed):
         if max(spec.parts) >= 2:
             return closed
         return dataclasses.replace(closed, quotient_poly=(1, -spec.n))
 
-    monkeypatch.setattr(verification, "multipartite_spectrum_closed", tampered)
+    monkeypatch.setattr(verification, "_closed_stack", _member_by_member(tampered))
     report = es.verify_closed_forms(6)
     assert [(v["spec"], v["check"]) for v in report.violations] == [([1] * 6, "quotient_char_poly")]
     assert report.violations[0]["actual"] == [1, -5]
@@ -380,15 +382,16 @@ def test_quotient_check_covers_the_complete_graph(monkeypatch):
 def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
     # shifting every eigenvalue by +1 breaks the trace identity everywhere;
     # one pair order is one stream of stacks: the product, the partner and
-    # the sweep
-    original = verification.symmetric_eigenvalues
+    # the sweep.  Every member is block diagonal, so the stack's rows come
+    # from the block path
+    original = verification._block_eigenvalues
     stacks = []
 
-    def shifted(matrices):
+    def shifted(matrices, solved):
         stacks.append(len(matrices))
-        return original(matrices) + 1
+        return original(matrices, solved) + 1
 
-    monkeypatch.setattr(verification, "symmetric_eigenvalues", shifted)
+    monkeypatch.setattr(verification, "_block_eigenvalues", shifted)
     report = es.verify_equienergetic(2)
     flagged = [v["spec"] for v in report.violations if v["check"] == "oracle_trace"]
     assert [2, 2, "x", 2] in flagged
@@ -401,23 +404,22 @@ def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
     assert stacks == [8]
 
 
-def _counting_solver(monkeypatch):
+def _recording_solver(monkeypatch):
+    # every stack handed to the eigensolver, as it was handed over
     original = verification.symmetric_eigenvalues
-    stacks = []
-
-    def counting(matrices):
-        stacks.append(len(matrices))
-        return original(matrices)
-
-    monkeypatch.setattr(verification, "symmetric_eigenvalues", counting)
-    return stacks
+    calls = []
+    monkeypatch.setattr(verification, "symmetric_eigenvalues",
+                        lambda matrices: calls.append(matrices.copy()) or original(matrices))
+    return calls
 
 
 def test_single_pair_is_one_stack_of_two(monkeypatch):
-    stacks = _counting_solver(monkeypatch)
+    # one solver call for the stack of two: the product's one distinct block
+    # 2(J_3 - I_3) (x) J_2 and the partner K_{4,3,3,2}'s blocks of sizes 4, 3, 2
+    calls = _recording_solver(monkeypatch)
     report = es.verify_equienergetic_pair(3, 1)
     assert report.passed
-    assert stacks == [2]
+    assert [len(stack) for stack in calls] == [4]
     assert list(report.witnesses) == ["product_order", "partner_parts", "predicted_energy",
                                       "product_energy", "partner_energy",
                                       "product_zero_multiplicity"]
@@ -425,11 +427,104 @@ def test_single_pair_is_one_stack_of_two(monkeypatch):
 
 def test_oversized_nmax_is_rejected_before_any_solve(monkeypatch):
     # order 4 * 4 = 16 exceeds the cap, so no smaller order is solved first
-    stacks = _counting_solver(monkeypatch)
+    calls = _recording_solver(monkeypatch)
     monkeypatch.setattr(graphs, "MAX_ORDER", 12)
     with pytest.raises(OrderTooLargeError):
         es.verify_equienergetic(4)
-    assert stacks == []
+    assert calls == []
+
+
+def _pair_order_sources(n):
+    # the product, then every partner, of pair order n, as (label, source)
+    product, partner, _ = es.equienergetic_pair(n, 0)
+    specs = [es.MultipartiteSpec((n + i, n, n, n - i)) for i in range(n - 1)]
+    return [([n, n, "x", 2], product), (specs[0], partner), *((spec, spec) for spec in specs[1:])]
+
+
+BLOCK_DIAGONAL_STREAMS = (
+    [pytest.param(list(verification._labelled(verification._connected_partitions(n, smallest=2))),
+                  id=f"classes>=2,n={n}") for n in range(4, 17)]
+    + [pytest.param(_pair_order_sources(n), id=f"pair_order={n}") for n in range(2, 7)]
+)
+
+
+@pytest.mark.parametrize("labelled", BLOCK_DIAGONAL_STREAMS)
+def test_block_path_matches_the_whole_matrix_solve(monkeypatch, labelled):
+    calls = _recording_solver(monkeypatch)
+    members = 0
+    for labels, matrices, spectra, oracle in verification._numeric_stacks(labelled):
+        for matrix, spectrum, found in zip(matrices, spectra, oracle):
+            whole = es.symmetric_eigenvalues(matrix)
+            tol = 1e-12 * max(1.0, float(np.linalg.norm(matrix)))
+            assert np.abs(np.array(spectrum.eigenvalues) - whole).max() <= tol
+            assert ([m for _, m in spectrum.groups]
+                    == [m for _, m in es.matrix_spectrum(matrix).groups])
+            assert found == []
+            members += 1
+    assert members == len(labelled)
+    # every member has two or more blocks, so the solver only sees blocks
+    # padded with zero rows, never a member whole
+    assert calls and all(not stack[:, -1].any() for stack in calls)
+
+
+def test_a_stack_with_one_singleton_spec_is_solved_whole(monkeypatch):
+    # the singleton joins the first and last rows of its matrix, so the
+    # stack skips the block path and goes to the solver in one call
+    specs = [es.MultipartiteSpec(parts) for parts in [(3, 3), (4, 2), (2, 2, 2), (3, 2, 1)]]
+    calls = _recording_solver(monkeypatch)
+    (labels, matrices, spectra, _), = verification._numeric_stacks(verification._labelled(specs))
+    assert labels == specs
+    assert len(calls) == 1 and np.array_equal(calls[0], matrices)
+
+
+@pytest.mark.parametrize("cells", [verification._STACK_CELLS, 200])
+def test_no_block_is_solved_twice_in_a_pair_order(monkeypatch, cells):
+    # each pair order is one stream: a block seen in an earlier stack, or
+    # twice in one stack (the partner K_{2,2,2,2} is also a sweep spec), is
+    # solved once
+    monkeypatch.setattr(verification, "_STACK_CELLS", cells)
+    calls = _recording_solver(monkeypatch)
+    assert es.verify_equienergetic(4).passed
+    by_order = {}
+    for stack in calls:
+        by_order.setdefault(stack.shape[1], []).append(stack)
+    assert sorted(by_order) == [8, 12, 16]
+    for stacks in by_order.values():
+        blocks = [matrix.tobytes() for stack in stacks for matrix in stack]
+        assert len(blocks) == len(set(blocks))
+    if cells == 200:
+        assert all(len(stacks) > 1 for stacks in by_order.values())
+
+
+def test_a_wrong_cached_block_is_caught_in_every_member_that_uses_it(monkeypatch):
+    # raise the top eigenvalue of the class-of-3 block 2(J_3 - I_3) where it
+    # is solved; every member that reuses it, in later stacks too, must fail
+    # the trace identity, and no other member
+    monkeypatch.setattr(verification, "_STACK_CELLS", 200)
+    target = 2 * (np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
+    original = verification.symmetric_eigenvalues
+    hits = []
+
+    def shifted(matrices):
+        eigs = original(matrices)
+        for j, matrix in enumerate(matrices):
+            if np.array_equal(matrix[:3, :3], target) and not matrix[3:].any():
+                eigs[j, 0] += 1
+                hits.append(matrix.shape[0])
+        return eigs
+
+    monkeypatch.setattr(verification, "symmetric_eigenvalues", shifted)
+    report = es.verify_equienergetic(4)
+    expected = [list(spec.parts)
+                for n in range(2, 5)
+                for spec in itertools.chain(
+                    (es.MultipartiteSpec((n + i, n, n, n - i)) for i in range(n - 1)),
+                    verification._connected_partitions(4 * n, smallest=2))
+                if 3 in spec.parts]
+    flagged = [v["spec"] for v in report.violations if v["check"] == "oracle_trace"]
+    assert flagged == expected
+    # solved once per pair order
+    assert sorted(hits) == [8, 12, 16]
 
 
 # runner, order, and how many partitions its largest sweep order enumerates:
@@ -491,16 +586,14 @@ def test_a_perturbed_closed_form_flags_only_its_own_spec(monkeypatch, smallest_p
     # one stack carries many specs; shifting one closed value of one member
     # must flag that member alone
     target = _mid_stack_spec(16, smallest_part)
-    original = verification.multipartite_spectrum_closed
 
-    def shifted(spec):
-        closed = original(spec)
+    def shifted(spec, closed):
         if spec != target:
             return closed
         (value, mult), *rest = closed.entries
         return dataclasses.replace(closed, entries=((float(value) + 1e-6, mult), *rest))
 
-    monkeypatch.setattr(verification, "multipartite_spectrum_closed", shifted)
+    monkeypatch.setattr(verification, "_closed_stack", _member_by_member(shifted))
     report = es.verify_closed_forms(16)
     assert [(v["spec"], v["check"]) for v in report.violations] == [
         (list(target.parts), "spectrum_values")]
@@ -550,8 +643,8 @@ def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, ca
     # closed-form entries; the multiplicity check compares them unmerged
     exact_roots = closed_form._quotient_roots
 
-    def float_roots(distinct_sizes, singles, poly):
-        return [float(root) for root in exact_roots(distinct_sizes, singles, poly)]
+    def float_roots(quotients):
+        return [[float(root) for root in roots] for roots in exact_roots(quotients)]
 
     monkeypatch.setattr(closed_form, "_quotient_roots", float_roots)
     report = es.verify_closed_forms(10)
@@ -613,10 +706,11 @@ def test_reports_do_not_depend_on_the_stack_budget(monkeypatch, cells):
 
 
 @pytest.mark.parametrize("cells", [verification._STACK_CELLS, 200])
-@pytest.mark.parametrize("name", ["symmetric_eigenvalues", "_complement_stack"])
+@pytest.mark.parametrize("name", ["_eccentricity_stack", "_complement_stack"])
 def test_stacks_fill_the_entry_budget(monkeypatch, cells, name):
     # within one order every stack holds max(1, cells // n^2) members but the
-    # last, which may be short
+    # last, which may be short: every chunk the solver's stacks come from,
+    # and every chunk of Lemma 2's complement side
     monkeypatch.setattr(verification, "_STACK_CELLS", cells)
     original = getattr(verification, name)
     shapes = []
