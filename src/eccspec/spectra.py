@@ -5,8 +5,14 @@ checked against.  It is self-contained (no LAPACK): Householder reduction to
 tridiagonal form, then implicit QL with Wilkinson shifts (Golub & Van Loan
 Sec. 8.3), with a hard per-eigenvalue iteration cap that turns
 non-convergence into a loud error.  It takes one matrix or a stack of
-equal-order matrices; the Householder steps run on the whole stack at once,
-which is what makes the verification sweeps' many small solves cheap.
+equal-order matrices.  Before the solve, exactly equal adjacent twin rows
+are deflated: each class of twins gives one eigenvalue, repeated, and the
+solver sees only the small symmetric quotient over the classes.  The
+eccentricity matrix of a complete multipartite graph, as the library lays
+it out, deflates to one row per large class and one for the clique of
+singletons.  The Householder steps run on all the quotients of one order
+at once, which is what makes the verification sweeps' many small solves
+cheap.
 """
 
 import itertools
@@ -133,24 +139,94 @@ def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
+def _solve_stack(work: np.ndarray) -> np.ndarray:
+    """Eigenvalues (k, n), each row unsorted, of a stack (k, n, n) of finite
+    symmetric float64 matrices; the stack is overwritten.
+
+    Each matrix is scaled by an exact power of two so its largest entry lies
+    in [0.5, 1), the whole stack is Householder-reduced at once, QL solves
+    each tridiagonal, and the eigenvalues are scaled back.
+    """
+    largest = np.maximum(work.max(axis=(1, 2)), -work.min(axis=(1, 2)))
+    exponents = np.frexp(largest)[1]
+    np.ldexp(work, -exponents[:, None, None], out=work)
+    diagonals, subdiagonals = _tridiagonalize(work)
+    eigs = [_tridiagonal_ql(d, e) for d, e in zip(diagonals.tolist(), subdiagonals.tolist())]
+    return np.ldexp(np.array(eigs), exponents[:, None])
+
+
+def _deflate(work: np.ndarray):
+    """Deflate the adjacent twin rows of each matrix of a stack (k, n, n):
+    returns (quotients, coupled, sizes, values).
+
+    Rows r and r + 1 are twins when M[r, r] == M[r + 1, r + 1] and
+    M[r, w] == M[r + 1, w] for every other column w.  Then rows r and r + 1
+    of M - lam*I are equal for lam = M[r, r] - M[r, r + 1], and
+    e_r - e_{r + 1} is an exact eigenvector for lam.  Two overlapping pairs
+    share their lam, so a maximal run of twin pairs is one class T whose
+    rows of M - lam*I are all equal, and it holds |T| - 1 copies of lam.
+    Class j of matrix i has sizes[i, j] rows and the value values[i, j],
+    which a class of one does not use; a matrix with fewer classes than
+    the most in the stack is padded with classes of size 0.  The rest of
+    the spectrum is that of the symmetric quotient over the classes,
+    S_TU = sqrt(|T| |U|) * M_tu for T != U and S_TT = M_uu + (|T| - 1) * M_uv,
+    from any rows t in T and u != v in T.  quotients[i] holds matrix i's
+    in its leading block and zeros off the diagonal past it, and coupled[i]
+    says whether it has a nonzero entry off the diagonal.  Without twins S
+    is M, entry for entry, and a stack with no twins at all is its own
+    quotient stack: work itself, with no copy.
+    """
+    count, n, _ = work.shape
+    same = work[:, :-1] == work[:, 1:]  # row r against row r + 1, column by column
+    pairs = np.arange(n - 1)
+    # the two columns of a pair hold its diagonal and its coupling, compared apart
+    same[:, pairs, pairs] = same[:, pairs, pairs + 1] = True
+    diagonal = np.diagonal(work, axis1=1, axis2=2)
+    starts = np.ones((count, n), dtype=bool)
+    starts[:, 1:] = ~(same.all(axis=2) & (diagonal[:, :-1] == diagonal[:, 1:]))
+    classes = np.cumsum(starts, axis=1) - 1  # the class of each row
+    width = int(classes[:, -1].max()) + 1
+    stack = np.arange(count)[:, None]
+    sizes = np.bincount((classes + width * stack).ravel(), minlength=count * width).reshape(count, width)
+    heads = np.zeros((count, width), dtype=np.intp)
+    members, rows = np.nonzero(starts)
+    heads[members, classes[starts]] = rows
+    own = diagonal[stack, heads]
+    coupling = work[stack, heads, np.minimum(heads + 1, n - 1)]
+    if sizes.max() == 1:
+        quotients = work  # no twins anywhere: each matrix is its own quotient
+    else:
+        quotients = work[stack[:, :, None], heads[:, :, None], heads[:, None, :]]
+        quotients *= np.sqrt(sizes[:, :, None] * sizes[:, None, :])  # zero where padded
+    index = np.arange(width)
+    quotients[:, index, index] = 0.0
+    coupled = quotients.any(axis=(1, 2))
+    quotients[:, index, index] = np.where(sizes > 1, own + (sizes - 1) * coupling, own)
+    return quotients, coupled, sizes, own - coupling
+
+
 def symmetric_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, or of each matrix in a stack,
     sorted descending.
 
     matrix is one (n, n) matrix or a stack (k, n, n); the result has shape
-    (n,) or (k, n), as for numpy.linalg.eigvalsh.  Householder
-    tridiagonalisation runs once per column for the whole stack, then
-    implicit QL runs on each tridiagonal; QL_ITERATION_CAP bounds the QL
-    iterations spent on any one eigenvalue.  A single matrix is solved as a stack of
-    one, and each matrix of a stack gets the same bits as it would alone.
-    Each working copy is scaled by an exact power of two so its largest
-    entry lies in [0.5, 1): no intermediate overflows, no entry that matters
-    underflows, and on integer input the result is bit-identical to the
-    unscaled computation.  A zero matrix is left out of every Householder
-    step and gives zeros.  The input must be real, finite and exactly
-    symmetric (inputs here are integer matrices, so no tolerance is
-    warranted); complex, non-numeric or non-finite entries raise
-    PreconditionViolatedError.
+    (n,) or (k, n), as for numpy.linalg.eigvalsh.  Each working copy is
+    scaled by an exact power of two so its largest entry lies in [0.5, 1):
+    no intermediate overflows, no entry that matters underflows, and on
+    integer input the result is bit-identical to the unscaled computation.
+    Adjacent twin rows are then deflated exactly (_deflate): a matrix
+    with K twin classes gives |T| - 1 copies of each class's eigenvalue
+    and the K eigenvalues of its K x K symmetric quotient.  The quotients
+    of one order K are solved together: Householder tridiagonalisation
+    runs once per column for all of them, then implicit QL runs on each
+    tridiagonal; QL_ITERATION_CAP bounds the QL iterations spent on any one
+    eigenvalue.  A quotient that is already diagonal, as with every twin
+    class uncoupled from the rest, gives its diagonal with no solve.  A
+    single matrix is solved as a stack of one, and each matrix of a stack
+    gets the same bits as it would alone.  A zero matrix gives zeros.  The
+    input must be real, finite and exactly symmetric (inputs here are
+    integer matrices, so no tolerance is warranted); complex, non-numeric
+    or non-finite entries raise PreconditionViolatedError.
     """
     m = np.asarray(matrix)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -172,12 +248,24 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     largest = np.maximum(work.max(axis=(1, 2)), -work.min(axis=(1, 2)))
     exponents = np.frexp(largest)[1]
     np.ldexp(work, -exponents[:, None, None], out=work)
-    diagonals, subdiagonals = _tridiagonalize(work)
-    eigs = [
-        sorted(_tridiagonal_ql(d, e), reverse=True)
-        for d, e in zip(diagonals.tolist(), subdiagonals.tolist())
-    ]
-    return np.ldexp(np.array(eigs), exponents[:, None]).reshape(m.shape[:-1])
+    quotients, coupled, sizes, values = _deflate(work)
+    # a quotient with no entry off its diagonal has that diagonal as its
+    # eigenvalues, as the solver would find; the others are solved together
+    # with those of their order
+    found = np.diagonal(quotients, axis1=1, axis2=2).copy()
+    orders = (sizes > 0).sum(axis=1)
+    for order in sorted(set(orders[coupled].tolist())):
+        rows = np.flatnonzero(coupled & (orders == order))
+        # a group that is the whole stack at full width is solved in place
+        whole = len(rows) == len(quotients) and order == quotients.shape[1]
+        found[rows, :order] = _solve_stack(quotients if whole else quotients[rows, :order, :order])
+    # each class's run of rows takes |T| - 1 copies of its value, and one
+    # quotient eigenvalue in its last row
+    flat = sizes.ravel()
+    eigs = np.repeat(values, flat)
+    eigs[np.cumsum(flat)[flat > 0] - 1] = found.ravel()[flat > 0]
+    eigs = np.sort(eigs.reshape(work.shape[:2]), axis=1)[:, ::-1]
+    return np.ldexp(eigs, exponents[:, None]).reshape(m.shape[:-1])
 
 
 @dataclass(frozen=True)

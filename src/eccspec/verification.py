@@ -13,13 +13,12 @@ eccentricity pass, with no Graph per spec.  Every numeric spectrum comes
 from one step, `_numeric_stacks`, which solves a stack's matrices at once,
 tests the whole stack against the trace (zero) and Frobenius (squared norm)
 identities, and groups it with one call into the spectra module's grouping
-kernel.  A stack with no nonzero top-right corner in any member is solved
-block by block: each distinct diagonal block once per sweep stream, the new
-ones of a stack in one solver call.  Every spec whose classes all have size
->= 2 is such a direct sum of 2(J - I) blocks (Lemma 2), and so is each pair
-order's product.  A spec with a singleton has that corner, and at the
-default budget every Theorem 1-3 stack up to the sweep cap holds one, so
-those stacks are solved whole.  The closed forms of a stack come from one
+kernel.  The solver deflates each matrix's adjacent twin rows first, and
+the adjacency kernel lays each class out contiguously, so a spec is solved
+through its quotient over the classes: a spec whose classes all have size
+>= 2 (a direct sum of 2(J - I) blocks, Lemma 2) needs no solve at all, and
+one with a singleton solves an arrowhead over its large classes and the
+clique.  The closed forms of a stack come from one
 `closed_form._closed_stack` call.  The checks after the solve work on the
 same stack: `_check_spectrum` gives every closed-vs-numeric deviation from
 one array, and `_block_quotient` every block sum from one batched product.
@@ -81,7 +80,7 @@ GROUP_CHECK_CAP = 400     # numeric energy checks per graph order in the
                           # equal-order equienergeticity sweep; exhaustive for
                           # orders up to 24, sampled beyond to keep big CLI
                           # sweeps responsive
-_STACK_CELLS = 1 << 14    # matrix entries per stack, k * n^2: a stack of
+_STACK_CELLS = 1 << 15    # matrix entries per stack, k * n^2: a stack of
                           # small matrices spreads numpy's per-call cost
                           # over many, and larger budgets raise peak memory
 _SWEEP_CAP = 100_000      # partitions one sweep order may enumerate
@@ -209,26 +208,17 @@ def _numeric_stacks(labelled):
     _eccentricity_chunks over the (label, source) pairs, in order; the
     sources share one order.
 
-    The module calls the eigensolver only here and in _block_eigenvalues,
-    so no numeric spectrum escapes the oracle.  A stack's matrices are
-    solved at once, and its trace and Frobenius sums are reduced and tested
-    at once: oracle[i] holds member i's findings, which the caller records
-    just before that member's own.  The matrices are integer, so their
-    squared norms are summed exactly in int64.  A stack with no nonzero
-    top-right corner is solved block by block (_block_eigenvalues), each
-    distinct block once in the whole stream; the oracle still tests the
-    assembled rows against the full matrices.  The spectra are grouped by
-    one call into the grouping kernel, each at matrix_spectrum's default
-    tolerance.
+    The module calls the eigensolver only here, so no numeric spectrum
+    escapes the oracle.  A stack's matrices are solved by one call, and its
+    trace and Frobenius sums are reduced and tested at once: oracle[i]
+    holds member i's findings, which the caller records just before that
+    member's own.  The matrices are integer, so their squared norms are
+    summed exactly in int64.  The spectra are grouped by one call into the
+    grouping kernel, each at matrix_spectrum's default tolerance.
     """
-    solved = {}  # the blocks of this stream, by size and content
     for chunk, _, matrices in _eccentricity_chunks(labelled):
         labels = [label for label, _ in chunk]
-        # an entry in the corner joins the first and last rows into one block
-        if matrices[:, 0, -1].any():
-            eigs = symmetric_eigenvalues(matrices)
-        else:
-            eigs = _block_eigenvalues(matrices, solved)
+        eigs = symmetric_eigenvalues(matrices)
         frob_sq = np.einsum("kij,kij->k", matrices, matrices)
         trace_dev = np.abs(eigs.sum(axis=1))
         sq_dev = np.abs(np.sum(eigs**2, axis=1) - frob_sq)
@@ -239,44 +229,6 @@ def _numeric_stacks(labelled):
             oracle[i].append(_finding(labels[i], "oracle_frobenius",
                                       float(frob_sq[i]), float(frob_sq[i] + sq_dev[i])))
         yield labels, matrices, _group_stack(eigs, grouping_tol(frob_sq)), oracle
-
-
-def _block_eigenvalues(matrices: np.ndarray, solved: dict) -> np.ndarray:
-    """Eigenvalues (k, n), each row descending, of a stack (k, n, n) of
-    symmetric integer matrices, solved block by block.
-
-    A member's blocks are its finest contiguous diagonal blocks: row r ends
-    one when no entry of rows 0..r lies past column r.  A zero row, which
-    no eccentricity matrix of order >= 2 has, is read as reaching the last
-    column, which only merges blocks.  solved maps each block already
-    solved, keyed by its size and bytes, to its eigenvalues.  The stack's
-    new blocks are zero-padded to order n and solved by one call; a padding
-    column is never reflected, so its n - m eigenvalues are exact zeros and
-    are dropped.  A member's row is its blocks' eigenvalues, sorted.
-    """
-    count, n, _ = matrices.shape
-    last = n - 1 - np.argmax(matrices[:, :, ::-1] != 0, axis=2)
-    members, ends = np.nonzero(np.maximum.accumulate(last, axis=1) <= np.arange(n))
-    stops = [[] for _ in range(count)]
-    for i, end in zip(members.tolist(), ends.tolist()):
-        stops[i].append(end + 1)
-    keys, new = [], {}
-    for member, own in zip(matrices, stops):
-        keys.append([])
-        for start, stop in zip([0, *own], own):
-            block = member[start:stop, start:stop]
-            key = (stop - start, block.tobytes())
-            if key not in solved:
-                new[key] = block
-            keys[-1].append(key)
-    if new:
-        padded = np.zeros((len(new), n, n), dtype=matrices.dtype)
-        for pad, block in zip(padded, new.values()):
-            pad[:len(block), :len(block)] = block
-        for (size, content), row in zip(new, symmetric_eigenvalues(padded)):
-            solved[size, content] = np.delete(row, np.flatnonzero(row == 0.0)[:n - size]).tolist()
-    rows = [list(itertools.chain.from_iterable(solved[key] for key in own)) for own in keys]
-    return np.sort(rows)[:, ::-1]
 
 
 def _numeric_spectra(report, labelled):

@@ -93,9 +93,13 @@ def test_exact_fraction_input_is_solved_as_its_float_copy():
 
 
 def test_sweep_cap_raises_convergence_failure(monkeypatch):
+    # [[0, 1], [1, 1]] has no twin rows, so QL runs on it whole
     monkeypatch.setattr(spectra, "QL_ITERATION_CAP", 0)
     with pytest.raises(ConvergenceFailureError):
-        es.symmetric_eigenvalues(np.array([[0, 1], [1, 0]]))
+        es.symmetric_eigenvalues(np.array([[0, 1], [1, 1]]))
+    # every row of K_5's matrix is a twin of the next: its quotient is the
+    # 1 x 1 matrix [[4]], which needs no QL iteration
+    assert es.symmetric_eigenvalues(ecc([1] * 5)).tolist() == [4, -1, -1, -1, -1]
 
 
 def test_zero_test_does_not_underflow():
@@ -216,6 +220,66 @@ def test_mixed_stacks_match_single_solves():
     assert np.array_equal(eigs[1], np.ldexp(eigs[0], 600))
     assert np.array_equal(eigs[2], np.ldexp(eigs[0], -600))
 
+    # twin quotients of orders K = 4, 3, 1 and 2 (diagonal, so never
+    # solved), the zero-padded block's class of 5 zero rows, and no twins
+    twins = [ecc(parts) for parts in [(3, 3, 2, 1), (4, 2, 1, 1, 1), (1,) * 9, (5, 4)]]
+    assert_stack_matches_singles(np.stack([*twins, dense, block, twins[0]]))
+
+
+# deflation of adjacent twin rows
+
+
+@st.composite
+def twin_stacks(draw):
+    # stacks of one order whose members are built from adjacent classes:
+    # class T has diagonal a_T and coupling b_T inside, and one entry c_TU
+    # towards every row of class U; neighbouring classes may merge
+    n = draw(st.integers(1, 9))
+    ints = st.integers(-4, 4)
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+        labels = np.repeat(np.arange(len(cuts) + 1), np.diff([0, *cuts, n]))
+        c = len(cuts) + 1
+        couplings = np.array(draw(st.lists(ints, min_size=c * c, max_size=c * c))).reshape(c, c)
+        couplings = np.triu(couplings) + np.triu(couplings, 1).T
+        m = couplings[np.ix_(labels, labels)]
+        np.fill_diagonal(m, np.array(draw(st.lists(ints, min_size=c, max_size=c)))[labels])
+        members.append(m)
+    return np.stack(members)
+
+
+@given(twin_stacks())
+def test_deflated_stacks_match_the_jacobi_oracle(stack):
+    for matrix, eigs in zip(stack, es.symmetric_eigenvalues(stack)):
+        bound = 1e-10 * max(1.0, float(np.linalg.norm(matrix)))
+        assert np.abs(eigs - jacobi_eigenvalues(matrix)).max() < bound
+
+
+def test_a_deflated_matrix_near_overflow_is_scaled_exactly():
+    # the quotient is built from the scaled working copy
+    m = ecc([3, 3, 1])
+    with np.errstate(over="raise"):
+        huge = es.symmetric_eigenvalues(np.ldexp(m.astype(float), 1020))
+    assert np.isfinite(huge).all()
+    assert np.array_equal(huge, np.ldexp(es.symmetric_eigenvalues(m), 1020))
+
+
+def test_a_relabelling_with_no_adjacent_twins_keeps_the_spectrum():
+    # K_{4,4,3,1,1} laid out class by class deflates to a 4 x 4 quotient;
+    # interleaving its classes leaves no twin pair adjacent, so that copy is
+    # solved whole, and both give the same 12-digit groups
+    m = ecc([4, 4, 3, 1, 1])
+    order = [0, 4, 1, 5, 2, 6, 3, 7, 8, 11, 9, 12, 10]
+    relabelled = m[np.ix_(order, order)]
+    assert spectra._deflate(m[None].astype(float))[2].tolist() == [[4, 4, 3, 2]]
+    assert spectra._deflate(relabelled[None].astype(float))[2].tolist() == [[1] * 13]
+
+    def digits(matrix):
+        return [(f"{value:.12g}", mult) for value, mult in es.matrix_spectrum(matrix).groups]
+
+    assert digits(relabelled) == digits(m)
+
 
 def test_one_asymmetric_matrix_rejects_the_stack():
     stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
@@ -236,13 +300,14 @@ def test_other_shapes_are_rejected(shape):
 
 
 def test_sweep_cap_raises_convergence_failure_on_a_stack(monkeypatch):
-    stack = np.stack([np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    stack = np.stack([np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 1.0]])])
     monkeypatch.setattr(spectra, "QL_ITERATION_CAP", 0)
     with pytest.raises(ConvergenceFailureError):
         es.symmetric_eigenvalues(stack)
     monkeypatch.setattr(spectra, "QL_ITERATION_CAP", 1)
     eigs = es.symmetric_eigenvalues(stack)
-    assert eigs.tolist() == [[2, 1], pytest.approx([1, -1], abs=1e-12)]
+    root = math.sqrt(5)
+    assert eigs.tolist() == [[2, 1], pytest.approx([(1 + root) / 2, (1 - root) / 2], abs=1e-12)]
 
 
 # grouping

@@ -14,6 +14,7 @@ import eccspec as es
 import eccspec.closed_form as closed_form
 import eccspec.graphs as graphs
 import eccspec.poly as poly
+import eccspec.spectra as spectra
 import eccspec.verification as verification
 from eccspec.cli import main as cli_main
 from eccspec.errors import OrderTooLargeError, PreconditionViolatedError
@@ -382,16 +383,15 @@ def test_quotient_check_covers_the_complete_graph(monkeypatch):
 def test_oracle_checks_partner_and_sweep_spectra(monkeypatch):
     # shifting every eigenvalue by +1 breaks the trace identity everywhere;
     # one pair order is one stream of stacks: the product, the partner and
-    # the sweep.  Every member is block diagonal, so the stack's rows come
-    # from the block path
-    original = verification._block_eigenvalues
+    # the sweep
+    original = verification.symmetric_eigenvalues
     stacks = []
 
-    def shifted(matrices, solved):
+    def shifted(matrices):
         stacks.append(len(matrices))
-        return original(matrices, solved) + 1
+        return original(matrices) + 1
 
-    monkeypatch.setattr(verification, "_block_eigenvalues", shifted)
+    monkeypatch.setattr(verification, "symmetric_eigenvalues", shifted)
     report = es.verify_equienergetic(2)
     flagged = [v["spec"] for v in report.violations if v["check"] == "oracle_trace"]
     assert [2, 2, "x", 2] in flagged
@@ -414,12 +414,11 @@ def _recording_solver(monkeypatch):
 
 
 def test_single_pair_is_one_stack_of_two(monkeypatch):
-    # one solver call for the stack of two: the product's one distinct block
-    # 2(J_3 - I_3) (x) J_2 and the partner K_{4,3,3,2}'s blocks of sizes 4, 3, 2
+    # one solver call for the stack of two: the product and the partner
     calls = _recording_solver(monkeypatch)
     report = es.verify_equienergetic_pair(3, 1)
     assert report.passed
-    assert [len(stack) for stack in calls] == [4]
+    assert [len(stack) for stack in calls] == [2]
     assert list(report.witnesses) == ["product_order", "partner_parts", "predicted_energy",
                                       "product_energy", "partner_energy",
                                       "product_zero_multiplicity"]
@@ -450,70 +449,47 @@ BLOCK_DIAGONAL_STREAMS = (
 
 @pytest.mark.parametrize("labelled", BLOCK_DIAGONAL_STREAMS)
 def test_block_path_matches_the_whole_matrix_solve(monkeypatch, labelled):
-    calls = _recording_solver(monkeypatch)
+    # every member is deflated: the solver core sees no member at full
+    # order, and the deflated rows match the core's solve of the whole matrix
+    core = spectra._solve_stack
+    orders = []
+    monkeypatch.setattr(spectra, "_solve_stack",
+                        lambda work: orders.append(work.shape[1]) or core(work))
     members = 0
-    for labels, matrices, spectra, oracle in verification._numeric_stacks(labelled):
-        for matrix, spectrum, found in zip(matrices, spectra, oracle):
-            whole = es.symmetric_eigenvalues(matrix)
-            tol = 1e-12 * max(1.0, float(np.linalg.norm(matrix)))
-            assert np.abs(np.array(spectrum.eigenvalues) - whole).max() <= tol
+    for labels, matrices, grouped, oracle in verification._numeric_stacks(labelled):
+        for matrix, spectrum, found in zip(matrices, grouped, oracle):
+            whole = np.sort(core(matrix[None].astype(np.float64))[0])[::-1]
+            norm = max(1.0, float(np.linalg.norm(matrix)))
+            assert np.abs(np.array(spectrum.eigenvalues) - whole).max() <= 1e-12 * norm
             assert ([m for _, m in spectrum.groups]
-                    == [m for _, m in es.matrix_spectrum(matrix).groups])
+                    == [m for _, m in es.group_spectrum(whole, 1e-8 * norm).groups])
             assert found == []
             members += 1
     assert members == len(labelled)
-    # every member has two or more blocks, so the solver only sees blocks
-    # padded with zero rows, never a member whole
-    assert calls and all(not stack[:, -1].any() for stack in calls)
+    assert all(order < matrices.shape[1] for order in orders)
 
 
 def test_a_stack_with_one_singleton_spec_is_solved_whole(monkeypatch):
-    # the singleton joins the first and last rows of its matrix, so the
-    # stack skips the block path and goes to the solver in one call
+    # a stack goes to the solver in one call, whatever its members' twins
     specs = [es.MultipartiteSpec(parts) for parts in [(3, 3), (4, 2), (2, 2, 2), (3, 2, 1)]]
     calls = _recording_solver(monkeypatch)
-    (labels, matrices, spectra, _), = verification._numeric_stacks(verification._labelled(specs))
+    (labels, matrices, _, _), = verification._numeric_stacks(verification._labelled(specs))
     assert labels == specs
     assert len(calls) == 1 and np.array_equal(calls[0], matrices)
 
 
-@pytest.mark.parametrize("cells", [verification._STACK_CELLS, 200])
-def test_no_block_is_solved_twice_in_a_pair_order(monkeypatch, cells):
-    # each pair order is one stream: a block seen in an earlier stack, or
-    # twice in one stack (the partner K_{2,2,2,2} is also a sweep spec), is
-    # solved once
-    monkeypatch.setattr(verification, "_STACK_CELLS", cells)
-    calls = _recording_solver(monkeypatch)
-    assert es.verify_equienergetic(4).passed
-    by_order = {}
-    for stack in calls:
-        by_order.setdefault(stack.shape[1], []).append(stack)
-    assert sorted(by_order) == [8, 12, 16]
-    for stacks in by_order.values():
-        blocks = [matrix.tobytes() for stack in stacks for matrix in stack]
-        assert len(blocks) == len(set(blocks))
-    if cells == 200:
-        assert all(len(stacks) > 1 for stacks in by_order.values())
-
-
 def test_a_wrong_cached_block_is_caught_in_every_member_that_uses_it(monkeypatch):
-    # raise the top eigenvalue of the class-of-3 block 2(J_3 - I_3) where it
-    # is solved; every member that reuses it, in later stacks too, must fail
-    # the trace identity, and no other member
+    # raise the deflated eigenvalue of every twin class of size 3 by 1:
+    # each member with a class of 3, in every stack, must fail the trace
+    # identity, in enumeration order, and no other member
     monkeypatch.setattr(verification, "_STACK_CELLS", 200)
-    target = 2 * (np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
-    original = verification.symmetric_eigenvalues
-    hits = []
+    original = spectra._deflate
 
-    def shifted(matrices):
-        eigs = original(matrices)
-        for j, matrix in enumerate(matrices):
-            if np.array_equal(matrix[:3, :3], target) and not matrix[3:].any():
-                eigs[j, 0] += 1
-                hits.append(matrix.shape[0])
-        return eigs
+    def raised(work):
+        quotients, coupled, sizes, values = original(work)
+        return quotients, coupled, sizes, values + (sizes == 3)
 
-    monkeypatch.setattr(verification, "symmetric_eigenvalues", shifted)
+    monkeypatch.setattr(spectra, "_deflate", raised)
     report = es.verify_equienergetic(4)
     expected = [list(spec.parts)
                 for n in range(2, 5)
@@ -523,8 +499,6 @@ def test_a_wrong_cached_block_is_caught_in_every_member_that_uses_it(monkeypatch
                 if 3 in spec.parts]
     flagged = [v["spec"] for v in report.violations if v["check"] == "oracle_trace"]
     assert flagged == expected
-    # solved once per pair order
-    assert sorted(hits) == [8, 12, 16]
 
 
 # runner, order, and how many partitions its largest sweep order enumerates:
