@@ -155,20 +155,47 @@ def _solve_stack(work: np.ndarray) -> np.ndarray:
     return np.ldexp(np.array(eigs), exponents[:, None])
 
 
-def _deflate(work: np.ndarray):
-    """Deflate the adjacent twin rows of each matrix of a stack (k, n, n):
-    returns (quotients, coupled, sizes, values).
+def _twin_classes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of adjacent twin rows in each symmetric matrix of a stack
+    (k, n, n), n >= 1: returns (sizes, heads), both (k, width).
 
     Rows r and r + 1 are twins when M[r, r] == M[r + 1, r + 1] and
     M[r, w] == M[r + 1, w] for every other column w.  Then rows r and r + 1
     of M - lam*I are equal for lam = M[r, r] - M[r, r + 1], and
     e_r - e_{r + 1} is an exact eigenvector for lam.  Two overlapping pairs
     share their lam, so a maximal run of twin pairs is one class T whose
-    rows of M - lam*I are all equal, and it holds |T| - 1 copies of lam.
+    rows of M - lam*I are all equal: T holds |T| - 1 copies of lam, and each
+    row of T has the same sum over every class, so the classes are
+    equitable.  Class j of matrix i is the sizes[i, j] rows from heads[i, j]
+    on; a matrix with fewer classes than the most in the stack is padded
+    with classes of size 0 and head 0.  Rows are compared exactly, in the
+    stack's own dtype.
+    """
+    count, n, _ = stack.shape
+    same = stack[:, :-1] == stack[:, 1:]  # row r against row r + 1, column by column
+    pairs = np.arange(n - 1)
+    # the two columns of a pair hold its diagonal and its coupling, compared apart
+    same[:, pairs, pairs] = same[:, pairs, pairs + 1] = True
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    starts = np.ones((count, n), dtype=bool)
+    starts[:, 1:] = ~(same.all(axis=2) & (diagonal[:, :-1] == diagonal[:, 1:]))
+    classes = np.cumsum(starts, axis=1) - 1  # the class of each row
+    width = int(classes[:, -1].max(initial=0)) + 1  # one, for an empty stack
+    offsets = width * np.arange(count)[:, None]
+    sizes = np.bincount((classes + offsets).ravel(), minlength=count * width).reshape(count, width)
+    heads = np.zeros((count, width), dtype=np.intp)
+    members, rows = np.nonzero(starts)
+    heads[members, classes[starts]] = rows
+    return sizes, heads
+
+
+def _deflate(work: np.ndarray):
+    """Deflate each matrix of a stack (k, n, n) over its _twin_classes:
+    returns (quotients, coupled, sizes, values).
+
     Class j of matrix i has sizes[i, j] rows and the value values[i, j],
-    which a class of one does not use; a matrix with fewer classes than
-    the most in the stack is padded with classes of size 0.  The rest of
-    the spectrum is that of the symmetric quotient over the classes,
+    which a class of one does not use.  The rest of the spectrum is that of
+    the symmetric quotient over the classes,
     S_TU = sqrt(|T| |U|) * M_tu for T != U and S_TT = M_uu + (|T| - 1) * M_uv,
     from any rows t in T and u != v in T.  quotients[i] holds matrix i's
     in its leading block and zeros off the diagonal past it, and coupled[i]
@@ -177,28 +204,16 @@ def _deflate(work: np.ndarray):
     quotient stack: work itself, with no copy.
     """
     count, n, _ = work.shape
-    same = work[:, :-1] == work[:, 1:]  # row r against row r + 1, column by column
-    pairs = np.arange(n - 1)
-    # the two columns of a pair hold its diagonal and its coupling, compared apart
-    same[:, pairs, pairs] = same[:, pairs, pairs + 1] = True
-    diagonal = np.diagonal(work, axis1=1, axis2=2)
-    starts = np.ones((count, n), dtype=bool)
-    starts[:, 1:] = ~(same.all(axis=2) & (diagonal[:, :-1] == diagonal[:, 1:]))
-    classes = np.cumsum(starts, axis=1) - 1  # the class of each row
-    width = int(classes[:, -1].max()) + 1
+    sizes, heads = _twin_classes(work)
     stack = np.arange(count)[:, None]
-    sizes = np.bincount((classes + width * stack).ravel(), minlength=count * width).reshape(count, width)
-    heads = np.zeros((count, width), dtype=np.intp)
-    members, rows = np.nonzero(starts)
-    heads[members, classes[starts]] = rows
-    own = diagonal[stack, heads]
+    own = work[stack, heads, heads]
     coupling = work[stack, heads, np.minimum(heads + 1, n - 1)]
     if sizes.max() == 1:
         quotients = work  # no twins anywhere: each matrix is its own quotient
     else:
         quotients = work[stack[:, :, None], heads[:, :, None], heads[:, None, :]]
         quotients *= np.sqrt(sizes[:, :, None] * sizes[:, None, :])  # zero where padded
-    index = np.arange(width)
+    index = np.arange(sizes.shape[1])
     quotients[:, index, index] = 0.0
     coupled = quotients.any(axis=(1, 2))
     quotients[:, index, index] = np.where(sizes > 1, own + (sizes - 1) * coupling, own)

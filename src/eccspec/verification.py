@@ -21,13 +21,13 @@ one with a singleton solves an arrowhead over its large classes and the
 clique.  The closed forms of a stack come from one
 `closed_form._closed_stack` call.  The checks after the solve work on the
 same stack: `_check_spectrum` gives every closed-vs-numeric deviation from
-one array, and `_block_quotient` every block sum from one batched product.
+one array, and one call into the spectra module's twin-class kernel finds
+the classes of every member with a singleton class, K_n included.
 Each member's findings are still recorded member by member, its oracle
 findings first, so a report lists them in enumeration order.
-The equitable quotient of every spec with a singleton class, the complete
-graph included, is checked exactly: `_block_quotient` sums the int64
-eccentricity matrices over the classes as the adjacency kernel lays them out
-(each large class, then the clique), and each quotient's integer
+Those members' exact quotients are built over the twin classes their int64
+matrices show, not over a layout the spec dictates: the class sizes must be
+the spec's large classes and its clique, and each quotient's integer
 characteristic polynomial, by `poly.char_poly` (Berkowitz over Python ints),
 must equal the closed form's quotient polynomial times the deflated factors.
 Lemma 2's doubled-complement identity is checked by verify_lemma2 alone, with
@@ -63,6 +63,7 @@ from .graphs import (
 from .poly import char_poly, times_linear
 from .spectra import (
     _group_stack,
+    _twin_classes,
     energy,
     grouping_tol,
     spectral_radius,
@@ -147,10 +148,13 @@ def _sweep_sizes(n: int, smallest: int = 1):
         yield p[k] - 1 - (smallest - 1) * p[k - 1]
 
 
-def _check_sweep_size(n: int, smallest: int = 1) -> None:
-    # the counts never fall, so this stops at the first order past the cap
-    if any(size > _SWEEP_CAP for size in _sweep_sizes(n, smallest)):
+def _check_sweep_size(n: int, smallest: int = 1) -> list[int]:
+    # the counts of _sweep_sizes for orders 2..n, which never fall: the walk
+    # stops at the first order past the cap
+    sizes = list(itertools.takewhile(lambda size: size <= _SWEEP_CAP, _sweep_sizes(n, smallest)))
+    if len(sizes) < n - 1:
         raise PreconditionViolatedError(f"order {n} has over {_SWEEP_CAP} partitions to sweep")
+    return sizes
 
 
 def _labelled(specs):
@@ -241,33 +245,6 @@ def _numeric_spectra(report, labelled):
             yield label, matrix, spectrum
 
 
-def _block_quotient(matrices: np.ndarray, layouts: list[list[int]]) -> tuple[list, list[bool]]:
-    """Exact quotients of a stack (k, n, n) of integer matrices, each over
-    contiguous index classes of the sizes its layout lists in order, and
-    whether each partition is equitable.
-
-    One batched product against the members' class indicators sums every
-    row over every class, in int64.  Member i's Q, a (c, c) int64 array for
-    its c classes, holds those block sums for the first row of each class,
-    and its partition is equitable iff every row's block sums equal its
-    class head's.  Only the head rows are gathered out of the stack.
-    """
-    count, n, _ = matrices.shape
-    width = max(map(len, layouts))
-    sizes = [size for layout in layouts for size in layout]
-    starts = [list(itertools.accumulate(layout[:-1], initial=0)) for layout in layouts]
-    classes = np.repeat([c for layout in layouts for c in range(len(layout))], sizes)
-    indicators = (classes.reshape(count, n, 1) == np.arange(width)).astype(np.int64)
-    sums = matrices @ indicators
-    head_of = np.repeat([head for heads in starts for head in heads], sizes).reshape(count, n, 1)
-    equitable = (sums == np.take_along_axis(sums, head_of, axis=1)).all(axis=(1, 2))
-    # each member's head rows, padded to the widest layout with row 0
-    head_rows = np.array([heads + [0] * (width - len(heads)) for heads in starts])
-    quotients = np.take_along_axis(sums, head_rows.reshape(count, width, 1), axis=1)
-    return ([q[:len(heads), :len(heads)] for q, heads in zip(quotients, starts)],
-            equitable.tolist())
-
-
 def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport:
     if n < 4:
         raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
@@ -315,34 +292,42 @@ def verify_closed_forms(n: int) -> VerificationReport:
     """Check the closed-form spectra against the numeric eigensolver for every
     partition of n with at least two classes.
 
-    On every spec with a singleton, K_n included, the quotient over the
-    large classes and the clique must also be equitable, and its
-    characteristic polynomial must equal its quotient_poly times
-    (x - 2(m - 1)) for each large class that repeats an earlier size m: an
-    integer identity, with no tolerance.  Specs whose classes all have size
-    >= 2 get the spectrum check only; their doubled-complement identity is
-    verify_lemma2's.
+    On every spec with a singleton, K_n included, its matrix's twin classes
+    must also have the sizes of its large classes and the clique, and the
+    characteristic polynomial of its quotient over them must equal its
+    quotient_poly times (x - 2(m - 1)) for each large class that repeats an
+    earlier size m: an integer identity, with no tolerance.  Specs whose
+    classes all have size >= 2 get the spectrum check only; their
+    doubled-complement identity is verify_lemma2's.
     """
     report = _sweep_report("multipartite_closed_spectra", n)
     specs = _connected_partitions(n)
     for stack, matrices, spectra, oracle in _numeric_stacks(_labelled(specs)):
         closed = _closed_stack(stack)
         found, sized = _check_spectrum(report, stack, closed, spectra)
-        # the adjacency kernel lays classes out largest first: each large
-        # class, then the singletons, merged into one clique class
         mixed = [i for i, spec in enumerate(stack) if sized[i] and spec.parts[-1] == 1]
-        larges = [[size for size in stack[i].parts if size >= 2] for i in mixed]
-        layouts = [[*large, n - sum(large)] for large in larges]
-        quotients, equitable = _block_quotient(matrices[mixed], layouts) if mixed else ((), ())
-        for i, large, q, ok in zip(mixed, larges, quotients, equitable):
-            if not ok:
-                found[i].append(_finding(stack[i], "quotient_equitable", True, False))
+        # exact quotients over the twin classes, from the class heads h:
+        # Q_TU = |U| M[h_T, h_U] and Q_TT = M[h_T, h_T] + (|T| - 1) M[h_T, h_T + 1]
+        members = matrices[mixed]
+        sizes, heads = _twin_classes(members)
+        rows = np.arange(len(mixed))[:, None]
+        quotients = members[rows[:, :, None], heads[:, :, None], heads[:, None, :]] * sizes[:, None, :]
+        index = np.arange(sizes.shape[1])
+        quotients[:, index, index] = (members[rows, heads, heads] + (sizes - 1)
+                                      * members[rows, heads, np.minimum(heads + 1, n - 1)])
+        for row, i in enumerate(mixed):
+            # the spec's classes against the twin classes, as multisets of sizes
+            large = [size for size in stack[i].parts if size >= 2]
+            classes = sorted([*large, n - sum(large)])
+            twins = sorted(sizes[row][sizes[row] > 0].tolist())
+            if twins != classes:
+                found[i].append(_finding(stack[i], "twin_classes", classes, twins))
                 continue
             expected = list(closed[i].quotient_poly)
             for prev, size in zip(large, large[1:]):
                 if size == prev:
                     expected = times_linear(expected, 2 * (size - 1))
-            actual = char_poly(q.tolist())
+            actual = char_poly(quotients[row, :len(twins), :len(twins)].tolist())
             if actual != expected:
                 found[i].append(_finding(stack[i], "quotient_char_poly", expected, actual))
         for own, before in zip(found, oracle):
@@ -533,8 +518,7 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
     if n_max < 2:
         raise PreconditionViolatedError(f"pair construction needs n >= 2, got {n_max}")
     check_order(4 * n_max)
-    _check_sweep_size(4 * n_max, smallest=2)
-    sweep_sizes = dict(enumerate(_sweep_sizes(4 * n_max, smallest=2), start=2))
+    sweep_sizes = dict(enumerate(_check_sweep_size(4 * n_max, smallest=2), start=2))
     report = VerificationReport("product_equienergetic", n_max)
     sampled_orders = {}
     for n in range(2, n_max + 1):

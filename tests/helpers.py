@@ -190,6 +190,24 @@ def quotient_matrix_loop(matrix, partition) -> tuple[np.ndarray, bool]:
     return q, equitable
 
 
+def twin_classes_by_loop(matrix) -> list[tuple[int, int]]:
+    """(head, size) of each run of adjacent twin rows, one row pair at a
+    time: rows r - 1 and r are twins when their diagonal entries are equal
+    and they agree in every column outside {r - 1, r}.  Entries are
+    compared as Python numbers, exactly, whatever the input's dtype."""
+    rows = np.asarray(matrix).tolist()
+    n = len(rows)
+    runs = []
+    for r in range(n):
+        if r and rows[r - 1][r - 1] == rows[r][r] and all(
+                rows[r - 1][w] == rows[r][w] for w in range(n) if w not in (r - 1, r)):
+            head, size = runs[-1]
+            runs[-1] = (head, size + 1)
+        else:
+            runs.append((r, 1))
+    return runs
+
+
 def split_square_by_trial_division(r: int) -> tuple[int, int]:
     """(k, s) with r = k*k * s and s squarefree, by trial division up to sqrt(r)."""
     k = 1

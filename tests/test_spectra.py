@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eccspec as es
-from eccspec import spectra, verification
-from helpers import group_rows_by_loop, jacobi_eigenvalues, quotient_matrix_loop
+from eccspec import spectra
+from helpers import (group_rows_by_loop, jacobi_eigenvalues, quotient_matrix_loop,
+                     twin_classes_by_loop)
 from eccspec.errors import (
     ConvergenceFailureError,
     EmptySpectrumError,
@@ -428,78 +429,64 @@ def test_empty_spectrum_has_no_radius():
         es.spectral_radius(es.group_spectrum([], tol=1e-8))
 
 
-# the verification sweep's exact quotient over contiguous classes
+# twin classes, and the exact quotient over them
 
 
-def block_quotient(m, sizes):
-    # the stacked quotient on a stack of one
-    (q,), (equitable,) = verification._block_quotient(m[None], [sizes])
-    return q, equitable
+@st.composite
+def nudged_twin_stacks(draw):
+    # a twin stack as int64, or as float64 scaled by a non-dyadic factor;
+    # one symmetric pair of entries may move by one unit or one ulp, which
+    # must split any twin pair that it touches
+    stack = draw(twin_stacks())
+    if draw(st.booleans()):
+        stack = stack * 0.1
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(stack) - 1))
+        r, w = draw(st.integers(0, stack.shape[1] - 1)), draw(st.integers(0, stack.shape[1] - 1))
+        moved = stack[i, r, w] + 1 if stack.dtype == np.int64 else np.nextafter(stack[i, r, w], np.inf)
+        stack[i, r, w] = stack[i, w, r] = moved
+    return stack
+
+
+@given(nudged_twin_stacks())
+def test_twin_classes_match_the_row_by_row_oracle(stack):
+    sizes, heads = spectra._twin_classes(stack)
+    runs = [twin_classes_by_loop(matrix) for matrix in stack]
+    width = max(map(len, runs))
+    assert sizes.shape == heads.shape == (len(stack), width)
+    for own, member_sizes, member_heads in zip(runs, sizes.tolist(), heads.tolist()):
+        # padded with classes of size 0 and head 0
+        assert list(zip(member_heads, member_sizes)) == own + [(0, 0)] * (width - len(own))
+
+
+def test_twin_classes_compare_int64_rows_exactly():
+    # 2**53 and 2**53 + 1 are two int64 values but one float64: rows 0 and 1
+    # differ only there, so they are twins only after a cast
+    big = 2**53
+    m = np.array([[0, 1, big], [1, 0, big + 1], [big, big + 1, 0]], dtype=np.int64)
+    assert spectra._twin_classes(m[None])[0].tolist() == [[1, 1, 1]]
+    assert spectra._twin_classes(m[None].astype(np.float64))[0].tolist() == [[2, 1]]
+
+
+def twin_quotient(m):
+    # the block sums over the twin classes _twin_classes reads off m
+    (sizes,), (heads,) = spectra._twin_classes(m[None])
+    return quotient_matrix_loop(m, [range(head, head + size)
+                                    for head, size in zip(heads.tolist(), sizes.tolist())])
 
 
 def test_split_graph_quotient_is_equitable():
     m = ecc([3, 1, 1])  # independent set of 3 joined to a clique of 2
-    q, equitable = block_quotient(m, [3, 2])
+    assert [row.tolist() for row in spectra._twin_classes(m[None])] == [[[3, 2]], [[0, 3]]]
+    q, equitable = twin_quotient(m)
     assert equitable
-    assert q.dtype == np.int64 and q.tolist() == [[4, 2], [3, 1]]
-
-
-@st.composite
-def contiguous_layouts(draw):
-    # class sizes in layout order and an int64 matrix that is constant on
-    # every block (equitable), arbitrary, or block-constant but for one
-    # entry in a row below its class head (not equitable)
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    n, k = sum(sizes), len(sizes)
-    labels = np.repeat(np.arange(k), sizes)
-    kind = draw(st.sampled_from(["equitable", "arbitrary", "one_row_off"]))
-    if kind == "arbitrary":
-        m = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
-        m = m.reshape(n, n)
-    else:
-        block = np.array(draw(st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k)))
-        m = block.reshape(k, k)[np.ix_(labels, labels)]
-        if kind == "one_row_off":
-            starts = np.cumsum([0, *sizes[:-1]])
-            rows = [r for r in range(n) if r not in starts]
-            if rows:
-                m[draw(st.sampled_from(rows)), draw(st.integers(0, n - 1))] += 1
-    return sizes, m.astype(np.int64)
-
-
-@given(contiguous_layouts())
-def test_quotient_matches_the_block_loop(layout):
-    sizes, m = layout
-    classes = np.split(np.arange(len(m)), np.cumsum(sizes[:-1]))
-    q, equitable = block_quotient(m, sizes)
-    q_loop, equitable_loop = quotient_matrix_loop(m, classes)
-    assert equitable == equitable_loop
-    assert q.dtype == np.int64
-    # Q is the head rows' block sums, which are the block averages exactly
-    # when the partition is equitable
-    assert q.tolist() == [[int(m[ci[0], cj].sum()) for cj in classes] for ci in classes]
-    if equitable:
-        assert np.array_equal(q, q_loop)
-
-
-def test_all_singletons_quotient_returns_the_matrix():
-    m = ecc([2, 2])
-    q, equitable = block_quotient(m, [1, 1, 1, 1])
-    assert equitable
-    assert np.array_equal(q, m)
-
-
-def test_path_block_partition_is_not_equitable():
-    g = es.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    m = es.eccentricity_matrix(g).matrix
-    _, equitable = block_quotient(m, [2, 2])
-    assert not equitable
+    assert q.tolist() == [[4, 2], [3, 1]]
 
 
 def test_equitable_quotient_spectrum_sits_inside_full_spectrum():
     for parts in ([3, 1, 1], [4, 1], [2, 2, 1], [3, 2, 1, 1]):
         m = ecc(parts)
-        q, equitable = block_quotient(m, list(es.as_spec(parts).parts))
+        q, equitable = twin_quotient(m)
         assert equitable
         full = es.symmetric_eigenvalues(m)
         for lam in np.linalg.eigvals(q).real:

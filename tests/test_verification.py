@@ -18,7 +18,8 @@ import eccspec.spectra as spectra
 import eccspec.verification as verification
 from eccspec.cli import main as cli_main
 from eccspec.errors import OrderTooLargeError, PreconditionViolatedError
-from helpers import char_poly_by_leibniz, partitions_by_brute_force, square_int_matrices
+from helpers import (char_poly_by_leibniz, partitions_by_brute_force, quotient_matrix_loop,
+                     square_int_matrices)
 
 # standard partition counts p(1)..p(14)
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -213,6 +214,16 @@ def _split_zero_entry(closed):
     return dataclasses.replace(closed, entries=tuple(entries))
 
 
+def _first_class_grown(twin_classes):
+    # a stand-in for verification._twin_classes that reports each member's
+    # first twin class one row larger than it is
+    def grown(stack):
+        sizes, heads = twin_classes(stack)
+        sizes[:, 0] += 1
+        return sizes, heads
+    return grown
+
+
 def _member_by_member(change):
     # a stand-in for verification._closed_stack that passes each closed form
     # of the stack through change(spec, closed)
@@ -226,9 +237,8 @@ FAULTS = [
     pytest.param("_closed_stack",
                  lambda f: lambda specs: [_drop_last_eigenvalue(closed) for closed in f(specs)],
                  es.verify_closed_forms, (5,), {"spectrum_size"}, id="spectrum_size"),
-    pytest.param("_block_quotient",
-                 lambda f: lambda stack, layouts: (f(stack, layouts)[0], [False] * len(layouts)),
-                 es.verify_closed_forms, (6,), {"quotient_equitable"}, id="quotient_equitable"),
+    pytest.param("_twin_classes", _first_class_grown,
+                 es.verify_closed_forms, (6,), {"twin_classes"}, id="twin_classes"),
     pytest.param("_complement_stack", lambda f: lambda adjacency: f(adjacency) + 1,
                  es.verify_lemma2, (8,), {"complement_identity"}, id="complement_identity"),
     pytest.param("radius_upper_bound", lambda f: lambda n: f(n) - 1,
@@ -327,16 +337,22 @@ def test_char_poly_of_a_nilpotent_matrix_is_a_power_of_x(rows, lower):
 
 
 @pytest.mark.parametrize("n", range(4, 10))
-def test_char_poly_of_the_sweep_quotients_matches_the_leibniz_oracle(n):
-    # the integer quotients verify_closed_forms feeds in, built the same way
-    for spec in es.enumerate_partitions(n):
-        if spec.parts[-1] > 1:
-            continue
-        large = [size for size in spec.parts if size >= 2]
+def test_char_poly_of_the_sweep_quotients_matches_the_leibniz_oracle(monkeypatch, n):
+    # the integer quotients verify_closed_forms feeds in, one per spec with a
+    # singleton in enumeration order, are the block sums over the twin
+    # classes of that spec's matrix
+    fed = []
+    monkeypatch.setattr(verification, "char_poly", lambda rows: fed.append(rows) or poly.char_poly(rows))
+    assert es.verify_closed_forms(n).passed
+    specs = [spec for spec in es.enumerate_partitions(n) if spec.parts[-1] == 1]
+    assert len(fed) == len(specs)
+    for spec, rows in zip(specs, fed):
         matrix = es.eccentricity_matrix(es.build_multipartite(spec)).matrix
-        (q,), (equitable,) = verification._block_quotient(matrix[None], [[*large, n - sum(large)]])
-        assert equitable and q.dtype == np.int64
-        assert poly.char_poly(q.tolist()) == char_poly_by_leibniz(q)
+        (sizes,), (heads,) = spectra._twin_classes(matrix[None])
+        q, equitable = quotient_matrix_loop(matrix, [range(head, head + size) for head, size
+                                                     in zip(heads.tolist(), sizes.tolist())])
+        assert equitable and q.tolist() == rows
+        assert poly.char_poly(rows) == char_poly_by_leibniz(rows)
 
 
 def test_char_poly_of_zero_and_small_matrices():
@@ -595,21 +611,64 @@ def test_the_sweep_checks_the_expansion_users_get(monkeypatch, smallest_part):
 
 
 def test_a_perturbed_block_quotient_flags_only_its_own_member(monkeypatch):
-    # the layout of a spec with a singleton names it: its large classes,
-    # then the clique
+    # growing the first twin class of one mid-stack member with a singleton,
+    # which the stand-in knows by its matrix, flags that member alone
     target = _mid_stack_spec(16, 1)
-    large = [size for size in target.parts if size >= 2]
-    layout = [*large, target.n - sum(large)]
-    original = verification._block_quotient
+    matrix = es.eccentricity_matrix(es.build_multipartite(target)).matrix
+    original = verification._twin_classes
+    hits = []
 
-    def flipped(stack, layouts):
-        quotients, equitable = original(stack, layouts)
-        return quotients, [ok and own != layout for ok, own in zip(equitable, layouts)]
+    def grown(stack):
+        sizes, heads = original(stack)
+        mine = (stack == matrix).all(axis=(1, 2))
+        hits.append(int(mine.sum()))
+        sizes[mine, 0] += 1
+        return sizes, heads
 
-    monkeypatch.setattr(verification, "_block_quotient", flipped)
+    monkeypatch.setattr(verification, "_twin_classes", grown)
     report = es.verify_closed_forms(16)
+    assert sum(hits) == 1
     assert [(v["spec"], v["check"]) for v in report.violations] == [
-        (list(target.parts), "quotient_equitable")]
+        (list(target.parts), "twin_classes")]
+
+
+def test_twin_classes_catch_an_equitable_fault_that_breaks_the_twins(monkeypatch):
+    # in K_{4,3,1,1}, the class of 4's block 2(J - I) becomes a pattern with
+    # the same row sums: the spec's classes stay equitable, as the block-sum
+    # oracle confirms, so the quotient and its polynomial are unchanged, but
+    # the class of 4 has no twin rows left
+    target = es.MultipartiteSpec((4, 3, 1, 1))
+    clean = es.eccentricity_matrix(es.build_multipartite(target)).matrix
+    faulty = clean.copy()
+    faulty[:4, :4] = [[0, 3, 1, 2], [3, 0, 2, 1], [1, 2, 0, 3], [2, 1, 3, 0]]
+    classes = [range(0, 4), range(4, 7), range(7, 9)]
+    assert np.array_equal(quotient_matrix_loop(faulty, classes)[0],
+                          quotient_matrix_loop(clean, classes)[0])
+    assert quotient_matrix_loop(faulty, classes)[1]
+    original = verification._eccentricity_stack
+
+    def planted(distances):
+        matrices = original(distances)
+        matrices[(matrices == clean).all(axis=(1, 2))] = faulty
+        return matrices
+
+    monkeypatch.setattr(verification, "_eccentricity_stack", planted)
+    report = es.verify_closed_forms(9)
+    assert [(v["spec"], v["check"]) for v in report.violations] == [
+        ([4, 3, 1, 1], "spectrum_values"), ([4, 3, 1, 1], "multiplicities"),
+        ([4, 3, 1, 1], "twin_classes")]
+    assert report.violations[-1]["expected"] == [2, 3, 4]
+    assert report.violations[-1]["actual"] == [1, 1, 1, 1, 2, 3]
+    assert report.cases == len(es.enumerate_partitions(9))
+
+
+def test_equienergetic_walks_the_partition_recurrence_once(monkeypatch):
+    walks = []
+    original = verification._sweep_sizes
+    monkeypatch.setattr(verification, "_sweep_sizes",
+                        lambda n, smallest=1: walks.append((n, smallest)) or original(n, smallest))
+    assert es.verify_equienergetic(3).passed
+    assert walks == [(12, 2)]
 
 
 def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
