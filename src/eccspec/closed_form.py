@@ -35,7 +35,7 @@ from .errors import (
     OrderTooLargeError,
     PreconditionViolatedError,
 )
-from .exact import Surd, quadratic_roots, simplify_value
+from .exact import quadratic_roots, simplify_value
 from .graphs import Graph, as_spec, build_multipartite, complete, strong_product
 from .poly import horner, times_linear
 
@@ -71,26 +71,32 @@ class ClosedFormSpectrum:
         values = np.array([float(v) for v, _ in self.entries])
         return np.repeat(values, [m for _, m in self.entries])
 
-    def _has_float(self) -> bool:
-        return any(isinstance(v, float) for v, _ in self.entries)
-
     def trace(self):
-        """Sum of value*multiplicity; exact unless float entries are present."""
-        if self._has_float():
-            return math.fsum(float(v) * m for v, m in self.entries)
-        return simplify_value(sum((v * m for v, m in self.entries), Surd(0)))
+        """Sum of value*multiplicity, exact.  Float entries are simple roots
+        of quotient_poly, so they sum to -quotient_poly[1] (Vieta) less its
+        other roots: the int entries at which it vanishes."""
+        exact = [(v, m) for v, m in self.entries if not isinstance(v, float)]
+        total = sum(v * m for v, m in exact)
+        if len(exact) < len(self.entries):
+            poly = self.quotient_poly
+            total -= poly[1] + sum(v for v, _ in exact if type(v) is int and horner(poly, v) == 0)
+        return simplify_value(total)
 
     def energy_exact(self):
-        """Sum of |value|*multiplicity as an exact number, or None with floats."""
-        if self._has_float():
+        """Sum of |value|*multiplicity, exact: the trace less twice the
+        negative part, or None when a negative entry is a float.  The
+        quotient roots interlace 2(m - 1) >= 2: only the least can be < 0."""
+        negative = [(v, m) for v, m in self.entries if v < 0]
+        if any(isinstance(v, float) for v, _ in negative):
             return None
-        return simplify_value(sum((abs(v) * m for v, m in self.entries), Surd(0)))
+        return simplify_value(self.trace() - 2 * sum(v * m for v, m in negative))
 
     def energy(self) -> float:
+        """energy_exact(), or else the trace less twice math.fsum of the negatives."""
         exact = self.energy_exact()
         if exact is not None:
             return float(exact)
-        return math.fsum(abs(float(v)) * m for v, m in self.entries)
+        return float(self.trace()) - 2 * math.fsum(float(v) * m for v, m in self.entries if v < 0)
 
 
 def _sorted_entries(pairs) -> tuple[tuple[object, int], ...]:

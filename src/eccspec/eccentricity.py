@@ -6,7 +6,8 @@ min(ecc(u), ecc(v)) and zeroes it otherwise.  For connected graphs of diameter
 matrix of the complement, which gives a cheap independent construction route.
 Each route is one kernel over a stack of equal-order graphs: the defining rule
 zeroes a stack of Seidel distance matrices in place, and the complement route
-confirms its preconditions on an adjacency stack with one squaring.
+confirms its preconditions on an adjacency stack with one graph square, the
+kernel of Seidel's up pass.
 eccentricity_matrix and ecc_via_complement apply them to a stack of one and
 return the same read-only int64 EccentricityMatrix, whichever route built it;
 verify_lemma2 applies both to the same stacks.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolatedError
-from .graphs import Graph, _seidel
+from .graphs import Graph, _seidel, _square
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,18 @@ def _complement_stack(adjacency: np.ndarray) -> np.ndarray:
     """Doubled complements 2*A(complement), int64, of a (k, n, n) adjacency
     stack whose members all have diameter 2 and maximum degree below n-1.
 
-    One float32 squaring confirms that every member joins each pair within
-    distance 2 and is not complete, which together mean diameter exactly 2;
-    row sums bound the degrees.  The first member without diameter 2 goes
-    through the Seidel kernel alone, so the errors come as for one graph:
-    DisconnectedGraphError, then the diameter error, then the degree error.
+    One graph square (graphs._square) confirms that every member joins
+    each pair within distance 2 and is not complete, which together mean
+    diameter exactly 2; row sums bound the degrees.  The first member
+    without diameter 2 goes through the Seidel kernel alone, so the errors
+    come as for one graph: DisconnectedGraphError, then the diameter error,
+    then the degree error.
     """
     count, n, _ = adjacency.shape
-    # each product entry counts common neighbours, at most n - 1 < 2^24
-    reach = adjacency.astype(np.float32)
-    near = reach @ reach > 0
-    del reach
-    near |= adjacency
-    near.reshape(count, n * n)[:, ::n + 1] = True
     degrees = adjacency.sum(axis=2)
     complete = degrees.min(axis=1) == n - 1
-    failed = np.flatnonzero(complete | ~near.reshape(count, n * n).all(axis=1))
+    near = np.count_nonzero(_square(adjacency), axis=(1, 2))  # ordered pairs within distance 2
+    failed = np.flatnonzero(complete | (near < n * (n - 1)))
     if failed.size:
         diameter = int(_seidel(adjacency[failed[0], None]).max())
         raise PreconditionViolatedError(f"shortcut needs diameter exactly 2, got {diameter}")

@@ -10,7 +10,8 @@ order against MAX_ORDER first.
 Multipartite adjacency and all-pairs distances each have one kernel that
 takes a stack (k, n, n) of equal-order graphs, so the verification sweeps
 build and measure a chunk of specs in one call; build_multipartite and
-all_pairs_distances are stacks of one.
+all_pairs_distances are stacks of one.  The graph square `_square` is each
+step of Seidel's up pass and the complement route's diameter-2 check.
 """
 
 import operator
@@ -186,12 +187,24 @@ class DistanceMatrix:
     diameter: int
 
 
+def _square(adjacency: np.ndarray) -> np.ndarray:
+    """The pairs of distinct vertices at distance at most 2 in each graph of
+    a (k, n, n) adjacency stack, as a bool stack.  The one float32 product
+    is exact: each entry counts at most n - 1 < 2^24 common neighbours."""
+    count, n, _ = adjacency.shape
+    reach = adjacency.astype(np.float32)
+    near = reach @ reach > 0
+    near |= adjacency
+    near.reshape(count, n * n)[:, ::n + 1] = False
+    return near
+
+
 def _seidel(adjacency: np.ndarray) -> np.ndarray:
     """Distance stack (k, n, n) int64 of a (k, n, n) adjacency stack, by
     Seidel's algorithm (JCSS 1995).
 
     Up: level k + 1 joins the vertices at distance at most 2 in level k,
-    one squaring each, until every member's level is complete: ceil(log2(d))
+    one _square each, until every member's level is complete: ceil(log2(d))
     products for the largest diameter d.  A complete level squares to
     itself, so members of smaller diameter share the levels above theirs.
     Down: the top stored level squares to the complete graph, so its
@@ -204,19 +217,14 @@ def _seidel(adjacency: np.ndarray) -> np.ndarray:
 
     Raises DisconnectedGraphError when some member has an unreachable pair.
     """
-    # Every product entry is a sum of at most n - 1 non-negative integers,
-    # each at most n - 1, so at most (MAX_ORDER - 1)^2 < 2^24: float32 holds
-    # it, and D_uv deg(v), exactly.
+    # a down-pass product entry sums at most n - 1 integers in [0, n - 1]:
+    # below (MAX_ORDER - 1)^2 < 2^24, as is D_uv deg(v), so float32 is exact
     count, n, _ = adjacency.shape
     all_edges = count * n * (n - 1)
     levels = [adjacency]
     edges = np.count_nonzero(adjacency)
     while edges < all_edges:
-        reach = levels[-1].astype(np.float32)
-        up = reach @ reach > 0
-        del reach
-        up |= levels[-1]
-        up.reshape(count, n * n)[:, ::n + 1] = False
+        up = _square(levels[-1])
         grown = np.count_nonzero(up)
         # squaring only adds edges, and a complete member stays complete, so
         # a stack that stops growing short of complete has a member with a

@@ -7,12 +7,13 @@ Sec. 8.3), with a hard per-eigenvalue iteration cap that turns
 non-convergence into a loud error.  It takes one matrix or a stack of
 equal-order matrices.  Before the solve, exactly equal adjacent twin rows
 are deflated: each class of twins gives one eigenvalue, repeated, and the
-solver sees only the small symmetric quotient over the classes.  The
-eccentricity matrix of a complete multipartite graph, as the library lays
-it out, deflates to one row per large class and one for the clique of
-singletons.  The Householder steps run on all the quotients of one order
-at once, which is what makes the verification sweeps' many small solves
-cheap.
+solver sees only the small symmetric quotient over the classes, read off by
+`_twin_quotient`, the kernel that also gives Theorem 1's exact check its
+integer quotients.  The eccentricity matrix of a complete multipartite
+graph, as the library lays it out, deflates to one row per large class and
+one for the clique of singletons.  The Householder steps run on all the
+quotients of one order at once, which is what makes the verification
+sweeps' many small solves cheap.
 """
 
 import itertools
@@ -139,25 +140,32 @@ def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
     return d
 
 
+def _scale(work: np.ndarray) -> np.ndarray:
+    # scale each matrix of a float64 stack in place by an exact power of two,
+    # so its largest |entry| lies in [0.5, 1), and return the exponents
+    largest = np.maximum(work.max(axis=(1, 2)), -work.min(axis=(1, 2)))  # no copy for np.abs
+    exponents = np.frexp(largest)[1]
+    np.ldexp(work, -exponents[:, None, None], out=work)
+    return exponents
+
+
 def _solve_stack(work: np.ndarray) -> np.ndarray:
     """Eigenvalues (k, n), each row unsorted, of a stack (k, n, n) of finite
     symmetric float64 matrices; the stack is overwritten.
 
-    Each matrix is scaled by an exact power of two so its largest entry lies
-    in [0.5, 1), the whole stack is Householder-reduced at once, QL solves
-    each tridiagonal, and the eigenvalues are scaled back.
+    Each matrix is scaled (_scale), the whole stack is Householder-reduced
+    at once, QL solves each tridiagonal, and the eigenvalues are scaled back.
     """
-    largest = np.maximum(work.max(axis=(1, 2)), -work.min(axis=(1, 2)))
-    exponents = np.frexp(largest)[1]
-    np.ldexp(work, -exponents[:, None, None], out=work)
+    exponents = _scale(work)
     diagonals, subdiagonals = _tridiagonalize(work)
     eigs = [_tridiagonal_ql(d, e) for d, e in zip(diagonals.tolist(), subdiagonals.tolist())]
     return np.ldexp(np.array(eigs), exponents[:, None])
 
 
-def _twin_classes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _twin_quotient(stack: np.ndarray):
     """The runs of adjacent twin rows in each symmetric matrix of a stack
-    (k, n, n), n >= 1: returns (sizes, heads), both (k, width).
+    (k, n, n), n >= 1, and the quotient over them: (sizes, values,
+    quotient, rowsums).
 
     Rows r and r + 1 are twins when M[r, r] == M[r + 1, r + 1] and
     M[r, w] == M[r + 1, w] for every other column w.  Then rows r and r + 1
@@ -166,10 +174,17 @@ def _twin_classes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     share their lam, so a maximal run of twin pairs is one class T whose
     rows of M - lam*I are all equal: T holds |T| - 1 copies of lam, and each
     row of T has the same sum over every class, so the classes are
-    equitable.  Class j of matrix i is the sizes[i, j] rows from heads[i, j]
-    on; a matrix with fewer classes than the most in the stack is padded
-    with classes of size 0 and head 0.  Rows are compared exactly, in the
-    stack's own dtype.
+    equitable.  Rows are compared exactly, in the stack's own dtype.
+
+    Class T of matrix i is the next sizes[i, T] rows, from row 0, and
+    classes of size 0 pad each matrix to the stack's most.  With h the
+    first row of T, values[i, T] = M[h, h] - M[h, h + 1] is T's lam,
+    quotient[i, T, U] = M[h, h_U], and rowsums[i, T] is a row's sum over T,
+    M[h, h] + (|T| - 1) M[h, h + 1], or M[h, h] itself, signed zero and
+    all, for a class of one.  The rest of the spectrum is that of the
+    quotient weighted by |U|, or by sqrt(|T| |U|) to keep it symmetric,
+    with rowsums on its diagonal.  A stack with no twins at all is its own
+    quotient: stack itself, not a copy.
     """
     count, n, _ = stack.shape
     same = stack[:, :-1] == stack[:, 1:]  # row r against row r + 1, column by column
@@ -181,43 +196,16 @@ def _twin_classes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts[:, 1:] = ~(same.all(axis=2) & (diagonal[:, :-1] == diagonal[:, 1:]))
     classes = np.cumsum(starts, axis=1) - 1  # the class of each row
     width = int(classes[:, -1].max(initial=0)) + 1  # one, for an empty stack
-    offsets = width * np.arange(count)[:, None]
-    sizes = np.bincount((classes + offsets).ravel(), minlength=count * width).reshape(count, width)
-    heads = np.zeros((count, width), dtype=np.intp)
-    members, rows = np.nonzero(starts)
-    heads[members, classes[starts]] = rows
-    return sizes, heads
-
-
-def _deflate(work: np.ndarray):
-    """Deflate each matrix of a stack (k, n, n) over its _twin_classes:
-    returns (quotients, coupled, sizes, values).
-
-    Class j of matrix i has sizes[i, j] rows and the value values[i, j],
-    which a class of one does not use.  The rest of the spectrum is that of
-    the symmetric quotient over the classes,
-    S_TU = sqrt(|T| |U|) * M_tu for T != U and S_TT = M_uu + (|T| - 1) * M_uv,
-    from any rows t in T and u != v in T.  quotients[i] holds matrix i's
-    in its leading block and zeros off the diagonal past it, and coupled[i]
-    says whether it has a nonzero entry off the diagonal.  Without twins S
-    is M, entry for entry, and a stack with no twins at all is its own
-    quotient stack: work itself, with no copy.
-    """
-    count, n, _ = work.shape
-    sizes, heads = _twin_classes(work)
-    stack = np.arange(count)[:, None]
-    own = work[stack, heads, heads]
-    coupling = work[stack, heads, np.minimum(heads + 1, n - 1)]
-    if sizes.max() == 1:
-        quotients = work  # no twins anywhere: each matrix is its own quotient
-    else:
-        quotients = work[stack[:, :, None], heads[:, :, None], heads[:, None, :]]
-        quotients *= np.sqrt(sizes[:, :, None] * sizes[:, None, :])  # zero where padded
-    index = np.arange(sizes.shape[1])
-    quotients[:, index, index] = 0.0
-    coupled = quotients.any(axis=(1, 2))
-    quotients[:, index, index] = np.where(sizes > 1, own + (sizes - 1) * coupling, own)
-    return quotients, coupled, sizes, own - coupling
+    member = np.arange(count)[:, None]
+    sizes = np.bincount((classes + width * member).ravel(), minlength=count * width).reshape(count, width)
+    heads = np.zeros((count, width), dtype=np.intp)  # a padded class reads row 0
+    owners, rows = np.nonzero(starts)
+    heads[owners, classes[starts]] = rows
+    own = stack[member, heads, heads]
+    coupling = stack[member, heads, np.minimum(heads + 1, n - 1)]
+    twins = sizes.max(initial=0) > 1
+    quotient = stack[member[:, :, None], heads[:, :, None], heads[:, None, :]] if twins else stack
+    return sizes, own - coupling, quotient, np.where(sizes > 1, own + (sizes - 1) * coupling, own)
 
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:
@@ -229,19 +217,19 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
     scaled by an exact power of two so its largest entry lies in [0.5, 1):
     no intermediate overflows, no entry that matters underflows, and on
     integer input the result is bit-identical to the unscaled computation.
-    Adjacent twin rows are then deflated exactly (_deflate): a matrix
-    with K twin classes gives |T| - 1 copies of each class's eigenvalue
-    and the K eigenvalues of its K x K symmetric quotient.  The quotients
-    of one order K are solved together: Householder tridiagonalisation
-    runs once per column for all of them, then implicit QL runs on each
-    tridiagonal; QL_ITERATION_CAP bounds the QL iterations spent on any one
-    eigenvalue.  A quotient that is already diagonal, as with every twin
-    class uncoupled from the rest, gives its diagonal with no solve.  A
-    single matrix is solved as a stack of one, and each matrix of a stack
-    gets the same bits as it would alone.  A zero matrix gives zeros.  The
-    input must be real, finite and exactly symmetric (inputs here are
-    integer matrices, so no tolerance is warranted); complex, non-numeric
-    or non-finite entries raise PreconditionViolatedError.
+    Adjacent twin rows are then deflated exactly (_twin_quotient): K twin
+    classes give |T| - 1 copies of each class's eigenvalue and the K
+    eigenvalues of the K x K symmetric quotient.  The quotients of one
+    order K are solved together: Householder tridiagonalisation runs once
+    per column for all of them, then implicit QL runs on each tridiagonal;
+    QL_ITERATION_CAP bounds the QL iterations spent on any one eigenvalue.
+    A quotient that is already diagonal, as with every twin class
+    uncoupled from the rest, gives its diagonal with no solve.  A single
+    matrix is solved as a stack of one, and each matrix of a stack gets the
+    same bits as it would alone.  A zero matrix gives zeros.  The input
+    must be real, finite and exactly symmetric (inputs here are integer
+    matrices, so no tolerance is warranted); complex, non-numeric or
+    non-finite entries raise PreconditionViolatedError.
     """
     m = np.asarray(matrix)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -259,20 +247,22 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         raise NonSymmetricInputError("matrix is not symmetric")
     if not work.size:
         return np.empty(m.shape[:-1])
-    # max |entry| per matrix, without a full-size copy for np.abs
-    largest = np.maximum(work.max(axis=(1, 2)), -work.min(axis=(1, 2)))
-    exponents = np.frexp(largest)[1]
-    np.ldexp(work, -exponents[:, None, None], out=work)
-    quotients, coupled, sizes, values = _deflate(work)
-    # a quotient with no entry off its diagonal has that diagonal as its
-    # eigenvalues, as the solver would find; the others are solved together
-    # with those of their order
-    found = np.diagonal(quotients, axis1=1, axis2=2).copy()
+    exponents = _scale(work)
+    sizes, values, quotients, rowsums = _twin_quotient(work)
+    if quotients is not work:  # a copy, symmetrised in place
+        quotients *= np.sqrt(sizes[:, :, None] * sizes[:, None, :])  # zero where padded
+    width = sizes.shape[1]
+    diagonal = quotients.reshape(len(work), width * width)[:, ::width + 1]  # a view
+    diagonal[:] = 0.0
+    coupled = quotients.any(axis=(1, 2))
+    # a quotient with no entry off its diagonal has its row sums as its
+    # eigenvalues; the others are solved with those of their order
+    diagonal[:] = found = rowsums
     orders = (sizes > 0).sum(axis=1)
     for order in sorted(set(orders[coupled].tolist())):
         rows = np.flatnonzero(coupled & (orders == order))
         # a group that is the whole stack at full width is solved in place
-        whole = len(rows) == len(quotients) and order == quotients.shape[1]
+        whole = len(rows) == len(quotients) and order == width
         found[rows, :order] = _solve_stack(quotients if whole else quotients[rows, :order, :order])
     # each class's run of rows takes |T| - 1 copies of its value, and one
     # quotient eigenvalue in its last row

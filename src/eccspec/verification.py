@@ -21,8 +21,9 @@ one with a singleton solves an arrowhead over its large classes and the
 clique.  The closed forms of a stack come from one
 `closed_form._closed_stack` call.  The checks after the solve work on the
 same stack: `_check_spectrum` gives every closed-vs-numeric deviation from
-one array, and one call into the spectra module's twin-class kernel finds
-the classes of every member with a singleton class, K_n included.
+one array, and one call into the solver's own twin-quotient kernel reads
+the classes and quotient of every member with a singleton, K_n included;
+a fault planted in `spectra._twin_quotient` reaches only the solver.
 Each member's findings are still recorded member by member, its oracle
 findings first, so a report lists them in enumeration order.
 Those members' exact quotients are built over the twin classes their int64
@@ -63,7 +64,7 @@ from .graphs import (
 from .poly import char_poly, times_linear
 from .spectra import (
     _group_stack,
-    _twin_classes,
+    _twin_quotient,
     energy,
     grouping_tol,
     spectral_radius,
@@ -306,15 +307,12 @@ def verify_closed_forms(n: int) -> VerificationReport:
         closed = _closed_stack(stack)
         found, sized = _check_spectrum(report, stack, closed, spectra)
         mixed = [i for i, spec in enumerate(stack) if sized[i] and spec.parts[-1] == 1]
-        # exact quotients over the twin classes, from the class heads h:
-        # Q_TU = |U| M[h_T, h_U] and Q_TT = M[h_T, h_T] + (|T| - 1) M[h_T, h_T + 1]
-        members = matrices[mixed]
-        sizes, heads = _twin_classes(members)
-        rows = np.arange(len(mixed))[:, None]
-        quotients = members[rows[:, :, None], heads[:, :, None], heads[:, None, :]] * sizes[:, None, :]
+        # exact integer quotients over the twin classes: each entry weighted
+        # by its column class's size, with the row sums on the diagonal
+        sizes, _, quotients, rowsums = _twin_quotient(matrices[mixed])
+        quotients = quotients * sizes[:, None, :]
         index = np.arange(sizes.shape[1])
-        quotients[:, index, index] = (members[rows, heads, heads] + (sizes - 1)
-                                      * members[rows, heads, np.minimum(heads + 1, n - 1)])
+        quotients[:, index, index] = rowsums
         for row, i in enumerate(mixed):
             # the spec's classes against the twin classes, as multisets of sizes
             large = [size for size in stack[i].parts if size >= 2]

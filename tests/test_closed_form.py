@@ -127,7 +127,7 @@ def test_only_integer_quotient_roots_are_kept_as_ints(monkeypatch, specs):
 # sha256 of repr((entries, case_tag, quotient_poly, trace(), energy_exact()))
 # over every spec of order 2..22, in enumeration order: every bit of those
 # closed forms, their float roots included
-CLOSED_FORMS_UP_TO_22 = "394a80389099615f2e32c8b47271f0526e0f68ed2f18d3217fe0a5c9346c4e69"
+CLOSED_FORMS_UP_TO_22 = "bc9ea32622a133b6252fc3cb18877eb525b5457b9c5b0f580b32d4c2634d45f2"
 
 
 def test_stacked_closed_forms_keep_every_bit_up_to_order_22():
@@ -192,7 +192,7 @@ def test_quotient_poly_is_carried_only_on_the_singleton_route():
 def test_high_degree_quotients_give_a_full_spectrum(top):
     closed = es.multipartite_spectrum_closed(range(top, 0, -1))
     assert sum(m for _, m in closed.entries) == top * (top + 1) // 2
-    assert closed.trace() == pytest.approx(0, abs=1e-9)
+    assert closed.trace() == 0
 
 
 @st.composite
@@ -246,8 +246,31 @@ def test_k1_takes_the_singleton_route():
 def test_trace_vanishes_exactly():
     for parts in ([3, 1], [2, 2], [1, 1, 1, 1, 1], [4, 1, 1], [5, 3]):
         assert es.multipartite_spectrum_closed(parts).trace() == 0
-    # floats enter only through quotients over several distinct large sizes
-    assert abs(es.multipartite_spectrum_closed([3, 2, 1]).trace()) < 1e-10
+    # floats enter only through quotients over several distinct large sizes;
+    # the quotient's roots sum to -quotient_poly[1] all the same
+    for parts in ([3, 2, 1], [3] * 6 + [2] + [1] * 10, [5, 4, 3, 2, 1], [7, 5, 3, 1, 1]):
+        trace = es.multipartite_spectrum_closed(parts).trace()
+        assert trace == 0 and type(trace) is int, parts
+
+
+def test_every_closed_form_up_to_order_22_has_an_exact_trace_and_energy():
+    # the trace is the int 0; a spec whose entries are all exact gets the
+    # exact energy sum |v| m, and one with a float gets one exactly when
+    # every negative entry is exact
+    for n in range(2, 23):
+        for closed in closed_form._closed_stack(es.enumerate_partitions(n)):
+            trace = closed.trace()
+            assert trace == 0 and type(trace) is int
+            energy = closed.energy_exact()
+            floats = [v for v, _ in closed.entries if isinstance(v, float)]
+            if not floats:
+                assert energy == exact.simplify_value(sum(abs(v) * m for v, m in closed.entries))
+            elif min(floats) < 0:
+                assert energy is None
+            else:
+                assert not isinstance(energy, float)
+                assert float(energy) == pytest.approx(
+                    math.fsum(abs(float(v)) * m for v, m in closed.entries), rel=1e-12)
 
 
 def test_multiplicities_sum_to_the_order():
@@ -275,7 +298,30 @@ def test_energy_examples():
 def test_energy_exact_values():
     assert es.multipartite_spectrum_closed([2, 1, 1]).energy_exact() == Surd(3, 1, 17)
     assert es.multipartite_spectrum_closed([2, 2, 2]).energy_exact() == 12
+    # its smallest quotient root is irrational and negative
     assert es.multipartite_spectrum_closed([3, 2, 1]).energy_exact() is None
+
+
+@pytest.mark.parametrize("pair", [
+    ([16] + [1] * 14, [3] * 6 + [2] + [1] * 10, 86),
+    ([20] + [1] * 20, [4] * 4 + [2] * 9 + [1] * 6, 114),
+], ids=["86", "114"])
+def test_equienergetic_pairs_get_equal_exact_energies(pair):
+    # the second spec of each pair has float quotient roots, all positive
+    *specs, energy = pair
+    for parts in specs:
+        closed = es.multipartite_spectrum_closed(parts)
+        assert type(closed.energy_exact()) is int and closed.energy_exact() == energy
+        assert closed.energy() == float(energy)
+    assert any(isinstance(v, float) for v, _ in es.multipartite_spectrum_closed(specs[1]).entries)
+
+
+def test_an_integer_smallest_root_merged_with_a_structural_eigenvalue_gives_an_exact_energy():
+    # lambda_min = -2 joins the structural -2; the other quotient roots are floats
+    closed = es.multipartite_spectrum_closed([7, 5, 3, 1, 1])
+    assert any(isinstance(v, float) for v, _ in closed.entries)
+    assert closed.energy_exact() == 54
+    assert closed.energy() == 54.0
 
 
 def test_all_large_energy_is_four_times_order_minus_classes():

@@ -270,6 +270,16 @@ def test_distance_stack_matches_floyd_warshall_and_each_stack_of_one(stack):
         assert row.dtype == alone.dtype and row.tobytes() == alone.tobytes()
 
 
+@given(same_order_stacks(12))
+def test_graph_square_joins_exactly_the_pairs_within_distance_two(stack):
+    near = graphs._square(stack)
+    assert near.shape == stack.shape and near.dtype == bool
+    for adj, row in zip(stack, near):
+        expected = floyd_warshall_distances(adj) <= 2
+        np.fill_diagonal(expected, False)
+        assert np.array_equal(row, expected)
+
+
 def test_stack_members_of_different_diameters_share_levels():
     # diameters 8, 4, 2 and 1: the smaller ones ride through complete levels
     n = 9

@@ -273,8 +273,8 @@ def test_a_relabelling_with_no_adjacent_twins_keeps_the_spectrum():
     m = ecc([4, 4, 3, 1, 1])
     order = [0, 4, 1, 5, 2, 6, 3, 7, 8, 11, 9, 12, 10]
     relabelled = m[np.ix_(order, order)]
-    assert spectra._deflate(m[None].astype(float))[2].tolist() == [[4, 4, 3, 2]]
-    assert spectra._deflate(relabelled[None].astype(float))[2].tolist() == [[1] * 13]
+    assert spectra._twin_quotient(m[None].astype(float))[0].tolist() == [[4, 4, 3, 2]]
+    assert spectra._twin_quotient(relabelled[None].astype(float))[0].tolist() == [[1] * 13]
 
     def digits(matrix):
         return [(f"{value:.12g}", mult) for value, mult in es.matrix_spectrum(matrix).groups]
@@ -448,15 +448,60 @@ def nudged_twin_stacks(draw):
     return stack
 
 
+def runs_of(sizes):
+    # the rows of each class, from its size: classes run in order from row 0
+    bounds = np.cumsum([0, *sizes])
+    return [range(a, b) for a, b in zip(bounds.tolist(), bounds[1:].tolist()) if b > a]
+
+
 @given(nudged_twin_stacks())
 def test_twin_classes_match_the_row_by_row_oracle(stack):
-    sizes, heads = spectra._twin_classes(stack)
+    sizes = spectra._twin_quotient(stack)[0]
     runs = [twin_classes_by_loop(matrix) for matrix in stack]
     width = max(map(len, runs))
-    assert sizes.shape == heads.shape == (len(stack), width)
-    for own, member_sizes, member_heads in zip(runs, sizes.tolist(), heads.tolist()):
-        # padded with classes of size 0 and head 0
-        assert list(zip(member_heads, member_sizes)) == own + [(0, 0)] * (width - len(own))
+    assert sizes.shape == (len(stack), width)
+    for own, member_sizes in zip(runs, sizes.tolist()):
+        # padded with classes of size 0; the heads follow from the sizes
+        assert member_sizes == [size for _, size in own] + [0] * (width - len(own))
+        assert [run.start for run in runs_of(member_sizes)] == [head for head, _ in own]
+
+
+@given(twin_stacks(), st.sampled_from([np.int64, np.float64]))
+def test_twin_quotient_matches_entries_read_row_by_row(stack, dtype):
+    stack = stack.astype(dtype)
+    sizes, values, quotient, rowsums = spectra._twin_quotient(stack)
+    assert values.dtype == quotient.dtype == rowsums.dtype == dtype
+    for i, matrix in enumerate(stack.tolist()):
+        classes = [range(head, head + size) for head, size in twin_classes_by_loop(stack[i])]
+        assert sizes[i].tolist() == [len(rows) for rows in classes] + [0] * (len(sizes[i]) - len(classes))
+        for t, rows in enumerate(classes):
+            for r in rows:
+                # every row of a class shows the class's value and row sum,
+                # and the quotient row as its entries at each class's first
+                # row (its own diagonal, for its own class)
+                if len(rows) > 1:
+                    assert values[i, t] == matrix[r][r] - matrix[r][r + 1 if r + 1 in rows else r - 1]
+                assert rowsums[i, t] == sum(matrix[r][w] for w in rows)
+                assert [quotient[i, t, u] for u in range(len(classes))] == [
+                    matrix[r][r] if other is rows else matrix[r][other.start] for other in classes]
+
+
+def test_twin_quotient_is_the_stack_itself_without_twins():
+    # a stack with no twin anywhere is solved in place, as its own quotient;
+    # one twin pair anywhere in the stack makes the quotient a copy
+    m = ecc([4, 4, 3, 1, 1])
+    order = [0, 4, 1, 5, 2, 6, 3, 7, 8, 11, 9, 12, 10]
+    free = np.stack([m[np.ix_(order, order)]] * 2).astype(np.float64)
+    assert spectra._twin_quotient(free)[2] is free
+    mixed = np.stack([free[0], m.astype(np.float64)])
+    quotient = spectra._twin_quotient(mixed)[2]
+    assert quotient.shape == (2, 13, 13) and not np.shares_memory(quotient, mixed)
+
+
+def test_a_class_of_one_keeps_the_sign_of_a_zero_diagonal():
+    sizes, _, _, rowsums = spectra._twin_quotient(np.array([[[-0.0, 1.0], [1.0, 2.0]]]))
+    assert sizes.tolist() == [[1, 1]]
+    assert np.signbit(rowsums).tolist() == [[True, False]]
 
 
 def test_twin_classes_compare_int64_rows_exactly():
@@ -464,20 +509,20 @@ def test_twin_classes_compare_int64_rows_exactly():
     # differ only there, so they are twins only after a cast
     big = 2**53
     m = np.array([[0, 1, big], [1, 0, big + 1], [big, big + 1, 0]], dtype=np.int64)
-    assert spectra._twin_classes(m[None])[0].tolist() == [[1, 1, 1]]
-    assert spectra._twin_classes(m[None].astype(np.float64))[0].tolist() == [[2, 1]]
+    assert spectra._twin_quotient(m[None])[0].tolist() == [[1, 1, 1]]
+    assert spectra._twin_quotient(m[None].astype(np.float64))[0].tolist() == [[2, 1]]
 
 
 def twin_quotient(m):
-    # the block sums over the twin classes _twin_classes reads off m
-    (sizes,), (heads,) = spectra._twin_classes(m[None])
-    return quotient_matrix_loop(m, [range(head, head + size)
-                                    for head, size in zip(heads.tolist(), sizes.tolist())])
+    # the block sums over the twin classes _twin_quotient reads off m
+    (sizes,) = spectra._twin_quotient(m[None])[0].tolist()
+    return quotient_matrix_loop(m, runs_of(sizes))
 
 
 def test_split_graph_quotient_is_equitable():
     m = ecc([3, 1, 1])  # independent set of 3 joined to a clique of 2
-    assert [row.tolist() for row in spectra._twin_classes(m[None])] == [[[3, 2]], [[0, 3]]]
+    assert [part.tolist() for part in spectra._twin_quotient(m[None])] == [
+        [[3, 2]], [[-2, -1]], [[[0, 1], [1, 0]]], [[4, 1]]]
     q, equitable = twin_quotient(m)
     assert equitable
     assert q.tolist() == [[4, 2], [3, 1]]

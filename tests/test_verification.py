@@ -214,13 +214,13 @@ def _split_zero_entry(closed):
     return dataclasses.replace(closed, entries=tuple(entries))
 
 
-def _first_class_grown(twin_classes):
-    # a stand-in for verification._twin_classes that reports each member's
+def _first_class_grown(twin_quotient):
+    # a stand-in for verification._twin_quotient that reports each member's
     # first twin class one row larger than it is
     def grown(stack):
-        sizes, heads = twin_classes(stack)
+        sizes, values, quotient, rowsums = twin_quotient(stack)
         sizes[:, 0] += 1
-        return sizes, heads
+        return sizes, values, quotient, rowsums
     return grown
 
 
@@ -237,7 +237,7 @@ FAULTS = [
     pytest.param("_closed_stack",
                  lambda f: lambda specs: [_drop_last_eigenvalue(closed) for closed in f(specs)],
                  es.verify_closed_forms, (5,), {"spectrum_size"}, id="spectrum_size"),
-    pytest.param("_twin_classes", _first_class_grown,
+    pytest.param("_twin_quotient", _first_class_grown,
                  es.verify_closed_forms, (6,), {"twin_classes"}, id="twin_classes"),
     pytest.param("_complement_stack", lambda f: lambda adjacency: f(adjacency) + 1,
                  es.verify_lemma2, (8,), {"complement_identity"}, id="complement_identity"),
@@ -348,9 +348,9 @@ def test_char_poly_of_the_sweep_quotients_matches_the_leibniz_oracle(monkeypatch
     assert len(fed) == len(specs)
     for spec, rows in zip(specs, fed):
         matrix = es.eccentricity_matrix(es.build_multipartite(spec)).matrix
-        (sizes,), (heads,) = spectra._twin_classes(matrix[None])
-        q, equitable = quotient_matrix_loop(matrix, [range(head, head + size) for head, size
-                                                     in zip(heads.tolist(), sizes.tolist())])
+        (sizes,) = spectra._twin_quotient(matrix[None])[0].tolist()
+        bounds = np.cumsum([0, *sizes]).tolist()
+        q, equitable = quotient_matrix_loop(matrix, [range(a, b) for a, b in zip(bounds, bounds[1:])])
         assert equitable and q.tolist() == rows
         assert poly.char_poly(rows) == char_poly_by_leibniz(rows)
 
@@ -499,13 +499,13 @@ def test_a_wrong_cached_block_is_caught_in_every_member_that_uses_it(monkeypatch
     # each member with a class of 3, in every stack, must fail the trace
     # identity, in enumeration order, and no other member
     monkeypatch.setattr(verification, "_STACK_CELLS", 200)
-    original = spectra._deflate
+    original = spectra._twin_quotient
 
     def raised(work):
-        quotients, coupled, sizes, values = original(work)
-        return quotients, coupled, sizes, values + (sizes == 3)
+        sizes, values, quotient, rowsums = original(work)
+        return sizes, values + (sizes == 3), quotient, rowsums
 
-    monkeypatch.setattr(spectra, "_deflate", raised)
+    monkeypatch.setattr(spectra, "_twin_quotient", raised)
     report = es.verify_equienergetic(4)
     expected = [list(spec.parts)
                 for n in range(2, 5)
@@ -515,6 +515,27 @@ def test_a_wrong_cached_block_is_caught_in_every_member_that_uses_it(monkeypatch
                 if 3 in spec.parts]
     flagged = [v["spec"] for v in report.violations if v["check"] == "oracle_trace"]
     assert flagged == expected
+
+
+def test_a_solver_side_twin_fault_leaves_the_exact_check_alone(monkeypatch):
+    # the solver's twin-quotient kernel and the exact check's are one
+    # function under two names: a fault in the solver's copy moves numeric
+    # eigenvalues only, so only numeric checks fire
+    original = spectra._twin_quotient
+
+    def raised(work):
+        sizes, values, quotient, rowsums = original(work)
+        return sizes, values + (sizes == 3), quotient, rowsums
+
+    monkeypatch.setattr(spectra, "_twin_quotient", raised)
+    report = es.verify_closed_forms(7)
+    checks = {v["check"] for v in report.violations}
+    assert "spectrum_values" in checks
+    assert checks.isdisjoint({"twin_classes", "quotient_char_poly"})
+    # a class of 3 is a large class of 3 or a clique of 3 singletons
+    flagged = {tuple(v["spec"]) for v in report.violations}
+    assert flagged == {spec.parts for spec in es.enumerate_partitions(7)
+                       if 3 in spec.parts or spec.parts.count(1) == 3}
 
 
 # runner, order, and how many partitions its largest sweep order enumerates:
@@ -615,17 +636,17 @@ def test_a_perturbed_block_quotient_flags_only_its_own_member(monkeypatch):
     # which the stand-in knows by its matrix, flags that member alone
     target = _mid_stack_spec(16, 1)
     matrix = es.eccentricity_matrix(es.build_multipartite(target)).matrix
-    original = verification._twin_classes
+    original = verification._twin_quotient
     hits = []
 
     def grown(stack):
-        sizes, heads = original(stack)
+        sizes, values, quotient, rowsums = original(stack)
         mine = (stack == matrix).all(axis=(1, 2))
         hits.append(int(mine.sum()))
         sizes[mine, 0] += 1
-        return sizes, heads
+        return sizes, values, quotient, rowsums
 
-    monkeypatch.setattr(verification, "_twin_classes", grown)
+    monkeypatch.setattr(verification, "_twin_quotient", grown)
     report = es.verify_closed_forms(16)
     assert sum(hits) == 1
     assert [(v["spec"], v["check"]) for v in report.violations] == [
