@@ -16,7 +16,6 @@ quotients of one order at once, which is what makes the verification
 sweeps' many small solves cheap.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -282,45 +281,32 @@ class Spectrum:
     n: int
 
 
-def _group_stack(eigs: np.ndarray, tols: np.ndarray) -> list[Spectrum]:
-    """Group each row of a descending stack (k, n) of eigenvalues at its own
-    tolerance: a Spectrum per member.
-
-    One gap test serves the whole stack: a group ends where
-    eigs[:, j] - eigs[:, j + 1] > tol.  Each group reports the arithmetic
-    mean of its members, their correctly rounded math.fsum sum over the
-    count, which cancels the symmetric part of the solver noise and gives
-    the same bits on every Python.  Eigenvalues must be finite, and
-    tolerances finite and >= 0: a NaN gap test never splits, so a NaN in
-    either would merge everything into one group.
-    """
-    valid = np.isfinite(tols) & (tols >= 0)
-    if not valid.all():
-        raise PreconditionViolatedError(
-            f"grouping tolerance must be finite and >= 0, got {tols[~valid][0]}")
-    if not np.isfinite(eigs).all():
-        raise PreconditionViolatedError("eigenvalues to group must be finite")
-    n = eigs.shape[1]
-    rows, cols = np.nonzero(eigs[:, :-1] - eigs[:, 1:] > tols[:, None])
-    splits = iter((cols + 1).tolist())
-    spectra = []
-    for row, count in zip(eigs.tolist(), np.bincount(rows, minlength=len(eigs)).tolist()):
-        bounds = [0, *itertools.islice(splits, count), n] if n else []
-        groups = tuple((math.fsum(row[a:b]) / (b - a), b - a) for a, b in zip(bounds, bounds[1:]))
-        spectra.append(Spectrum(tuple(row), groups, n))
-    return spectra
+def _splits(eigs: np.ndarray, tols: np.ndarray) -> np.ndarray:
+    # whether each row of a descending stack (k, n) ends a group after column j
+    return eigs[:, :-1] - eigs[:, 1:] > tols[:, None]
 
 
 def group_spectrum(eigenvalues, tol: float) -> Spectrum:
-    """Cluster eigenvalues whose adjacent gaps stay within tol, as a stack of
-    one of _group_stack, after sorting them descending.
+    """Cluster eigenvalues, sorted descending, into groups that end where
+    the gap to the next value exceeds tol (_splits, which the verification
+    sweeps run on whole stacks).
 
-    tol must be finite and >= 0 and the eigenvalues finite, or
-    PreconditionViolatedError is raised.
+    Each group reports the arithmetic mean of its members, their correctly
+    rounded math.fsum sum over the count, which cancels the symmetric part
+    of the solver noise and gives the same bits on every Python.  tol must
+    be finite and >= 0 and the eigenvalues finite, or
+    PreconditionViolatedError is raised: a NaN gap test never splits, so a
+    NaN in either would merge everything into one group.
     """
-    eigs = sorted((float(x) for x in eigenvalues), reverse=True)
-    return _group_stack(np.array(eigs, dtype=np.float64).reshape(1, -1),
-                        np.array([tol], dtype=np.float64))[0]
+    row = sorted((float(x) for x in eigenvalues), reverse=True)
+    tols = np.array([tol], dtype=np.float64)
+    if not (math.isfinite(tols[0]) and tols[0] >= 0):
+        raise PreconditionViolatedError(f"grouping tolerance must be finite and >= 0, got {tols[0]}")
+    if not all(map(math.isfinite, row)):
+        raise PreconditionViolatedError("eigenvalues to group must be finite")
+    bounds = [0, *(np.flatnonzero(_splits(np.array([row]), tols)) + 1).tolist(), len(row)] if row else []
+    groups = tuple((math.fsum(row[a:b]) / (b - a), b - a) for a, b in zip(bounds, bounds[1:]))
+    return Spectrum(tuple(row), groups, len(row))
 
 
 def grouping_tol(frobenius_sq):
@@ -338,10 +324,20 @@ def matrix_spectrum(matrix, tol: float | None = None) -> Spectrum:
     return group_spectrum(eigs, tol)
 
 
+def _energies(eigs: np.ndarray) -> list[float]:
+    # energy() of each row of a stack (k, n) of eigenvalues
+    return [math.fsum(row) for row in np.abs(eigs).tolist()]
+
+
+def _radii(eigs: np.ndarray) -> list[float]:
+    # spectral_radius() of each row of a descending stack (k, n), n >= 1
+    return np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1])).tolist()
+
+
 def energy(spectrum: Spectrum) -> float:
     """Sum of absolute eigenvalues, correctly rounded by math.fsum, so the
     same on every Python."""
-    return math.fsum(abs(x) for x in spectrum.eigenvalues)
+    return _energies(np.array([spectrum.eigenvalues]))[0]
 
 
 def spectral_radius(spectrum: Spectrum) -> float:
@@ -353,4 +349,4 @@ def spectral_radius(spectrum: Spectrum) -> float:
     """
     if spectrum.n == 0:
         raise EmptySpectrumError("spectral radius of an empty spectrum")
-    return max(abs(spectrum.eigenvalues[0]), abs(spectrum.eigenvalues[-1]))
+    return _radii(np.array([spectrum.eigenvalues]))[0]

@@ -10,22 +10,24 @@ The equal-order specs of a sweep go through the chain in stacks of at most
 so a stack holds more small matrices than large ones: one adjacency stack
 built from their class labels, one stacked Seidel run, one in-place
 eccentricity pass, with no Graph per spec.  Every numeric spectrum comes
-from one step, `_numeric_stacks`, which solves a stack's matrices at once,
-tests the whole stack against the trace (zero) and Frobenius (squared norm)
-identities, and groups it with one call into the spectra module's grouping
-kernel.  The solver deflates each matrix's adjacent twin rows first, and
-the adjacency kernel lays each class out contiguously, so a spec is solved
-through its quotient over the classes: a spec whose classes all have size
->= 2 (a direct sum of 2(J - I) blocks, Lemma 2) needs no solve at all, and
-one with a singleton solves an arrowhead over its large classes and the
-clique.  The closed forms of a stack come from one
-`closed_form._closed_stack` call.  The checks after the solve work on the
-same stack: `_check_spectrum` gives every closed-vs-numeric deviation from
-one array, and one call into the solver's own twin-quotient kernel reads
-the classes and quotient of every member with a singleton, K_n included;
-a fault planted in `spectra._twin_quotient` reaches only the solver.
-Each member's findings are still recorded member by member, its oracle
-findings first, so a report lists them in enumeration order.
+from one step, `_numeric_stacks`, which solves a stack's matrices at once
+into a descending (k, n) array and tests the whole stack against the trace
+(zero) and Frobenius (squared norm) identities.  The solver deflates each
+matrix's adjacent twin rows first, and the adjacency kernel lays each class
+out contiguously, so a spec is solved through its quotient over the classes:
+a spec whose classes all have size >= 2 (a direct sum of 2(J - I) blocks,
+Lemma 2) needs no solve at all, and one with a singleton solves an arrowhead
+over its large classes and the clique.  The closed forms of a stack come
+from one `closed_form._closed_stack` call.  The checks after the solve work
+on the same array: `_check_spectrum` gives every closed-vs-numeric deviation
+from one array and tests every member's multiplicities against one gap test,
+energies and spectral radii are one reduction each, and one call into the
+solver's own twin-quotient kernel reads the classes and quotient of every
+member with a singleton, K_n included; a fault planted in
+`spectra._twin_quotient` reaches only the solver.  A spectrum is grouped
+only to report a failing multiplicity check.  Each member's findings are
+still recorded member by member, its oracle findings first, so a report
+lists them in enumeration order.
 Those members' exact quotients are built over the twin classes their int64
 matrices show, not over a layout the spec dictates: the class sizes must be
 the spec's large classes and its clique, and each quotient's integer
@@ -63,11 +65,12 @@ from .graphs import (
 )
 from .poly import char_poly, times_linear
 from .spectra import (
-    _group_stack,
+    _energies,
+    _radii,
+    _splits,
     _twin_quotient,
-    energy,
+    group_spectrum,
     grouping_tol,
-    spectral_radius,
     symmetric_eigenvalues,
 )
 
@@ -209,17 +212,17 @@ def _eccentricity_chunks(labelled):
 
 
 def _numeric_stacks(labelled):
-    """Yield (labels, matrices, spectra, oracle) for each stack of
-    _eccentricity_chunks over the (label, source) pairs, in order; the
-    sources share one order.
+    """Yield (labels, matrices, eigenvalues, tolerances, oracle) for each
+    stack of _eccentricity_chunks over the (label, source) pairs, in order;
+    the sources share one order.
 
     The module calls the eigensolver only here, so no numeric spectrum
-    escapes the oracle.  A stack's matrices are solved by one call, and its
-    trace and Frobenius sums are reduced and tested at once: oracle[i]
-    holds member i's findings, which the caller records just before that
-    member's own.  The matrices are integer, so their squared norms are
-    summed exactly in int64.  The spectra are grouped by one call into the
-    grouping kernel, each at matrix_spectrum's default tolerance.
+    escapes the oracle.  A stack's matrices are solved by one call into a
+    descending (k, n) array, and its trace and Frobenius sums are reduced
+    and tested at once: oracle[i] holds member i's findings, which the
+    caller records just before that member's own.  The matrices are
+    integer, so their squared norms are summed exactly in int64; each
+    member's grouping tolerance is matrix_spectrum's default, from its norm.
     """
     for chunk, _, matrices in _eccentricity_chunks(labelled):
         labels = [label for label, _ in chunk]
@@ -233,17 +236,7 @@ def _numeric_stacks(labelled):
         for i in np.flatnonzero(sq_dev >= TOL_FROBENIUS * np.maximum(frob_sq, 1.0)).tolist():
             oracle[i].append(_finding(labels[i], "oracle_frobenius",
                                       float(frob_sq[i]), float(frob_sq[i] + sq_dev[i])))
-        yield labels, matrices, _group_stack(eigs, grouping_tol(frob_sq)), oracle
-
-
-def _numeric_spectra(report, labelled):
-    """Yield (label, eccentricity matrix, spectrum) for each (label, source)
-    pair of _numeric_stacks, in order, recording each pair's oracle findings
-    just before it is yielded."""
-    for labels, matrices, spectra, oracle in _numeric_stacks(labelled):
-        for label, matrix, spectrum, found in zip(labels, matrices, spectra, oracle):
-            report.violations += found
-            yield label, matrix, spectrum
+        yield labels, matrices, eigs, grouping_tol(frob_sq), oracle
 
 
 def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport:
@@ -253,39 +246,46 @@ def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport
     return VerificationReport(theorem, n)
 
 
-def _check_spectrum(report, labels, closed, spectra) -> tuple[list[list], list[bool]]:
-    """Closed forms against the numeric spectra of one stack: each member's
-    size, values and unmerged multiplicities.
+def _check_spectrum(report, labels, closed, eigs, tols) -> tuple[list[list], list[bool]]:
+    """Closed forms against the numeric eigenvalues (k, n) of one stack:
+    each member's size, values and unmerged multiplicities.
 
     Returns each member's findings, in check order, and whether its size
     matched; a size mismatch leaves no values to pair.  Each closed form is
     expanded by ClosedFormSpectrum.eigenvalues(), the expansion users get,
     and one array of the matched members gives every deviation, which goes
-    to the report's max_dev.
+    to the report's max_dev.  The multiplicities are compared through where
+    the groups end, with no grouping: only a member that fails is grouped,
+    for its finding's group means.
     """
     found = [[] for _ in labels]
     expanded = [c.eigenvalues() for c in closed]
-    sized = [len(values) == numeric.n for values, numeric in zip(expanded, spectra)]
+    n = eigs.shape[1]
+    sized = [len(values) == n for values in expanded]
     for i, ok in enumerate(sized):
         if not ok:
-            found[i].append(_finding(labels[i], "spectrum_size", spectra[i].n, len(expanded[i])))
+            found[i].append(_finding(labels[i], "spectrum_size", n, len(expanded[i])))
     rows = [i for i, ok in enumerate(sized) if ok]
     if not rows:
         return found, sized
-    devs = np.abs(np.array([expanded[i] for i in rows])
-                  - np.array([spectra[i].eigenvalues for i in rows])).max(axis=1)
-    for i, dev in zip(rows, devs.tolist()):
+    devs = np.abs(np.array([expanded[i] for i in rows]) - eigs[rows]).max(axis=1)
+    # where each member's groups end: numerically after each split and at n,
+    # and in the closed form at its entries' running multiplicities, counted
+    # with repeats so that an entry of multiplicity 0 never matches; the two
+    # agree exactly when the multiplicities do
+    ends = np.pad(_splits(eigs[rows], tols[rows]), ((0, 0), (1, 1)), constant_values=((0, 0), (0, 1)))
+    closed_ends = np.bincount([row * (n + 1) + end for row, i in enumerate(rows)
+                               for end in itertools.accumulate(m for _, m in closed[i].entries)],
+                              minlength=ends.size).reshape(ends.shape)
+    for i, dev, mismatch in zip(rows, devs.tolist(), (closed_ends != ends).any(axis=1).tolist()):
         _record(report, dev)
         if dev >= TOL_MATCH:
             found[i].append(_finding(labels[i], "spectrum_values",
-                                     list(spectra[i].eigenvalues), expanded[i].tolist()))
-        if [m for _, m in closed[i].entries] != [m for _, m in spectra[i].groups]:
-            found[i].append(_finding(
-                labels[i],
-                "multiplicities",
-                [[v, m] for v, m in spectra[i].groups],
-                [[float(v), m] for v, m in closed[i].entries],
-            ))
+                                     eigs[i].tolist(), expanded[i].tolist()))
+        if mismatch:
+            found[i].append(_finding(labels[i], "multiplicities",
+                                     [[v, m] for v, m in group_spectrum(eigs[i], tols[i]).groups],
+                                     [[float(v), m] for v, m in closed[i].entries]))
     return found, sized
 
 
@@ -303,9 +303,9 @@ def verify_closed_forms(n: int) -> VerificationReport:
     """
     report = _sweep_report("multipartite_closed_spectra", n)
     specs = _connected_partitions(n)
-    for stack, matrices, spectra, oracle in _numeric_stacks(_labelled(specs)):
+    for stack, matrices, eigs, tols, oracle in _numeric_stacks(_labelled(specs)):
         closed = _closed_stack(stack)
-        found, sized = _check_spectrum(report, stack, closed, spectra)
+        found, sized = _check_spectrum(report, stack, closed, eigs, tols)
         mixed = [i for i, spec in enumerate(stack) if sized[i] and spec.parts[-1] == 1]
         # exact integer quotients over the twin classes: each entry weighted
         # by its column class's size, with the row sums on the diagonal
@@ -376,18 +376,18 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
     radii: list[tuple[float, MultipartiteSpec]] = []
     energies: list[tuple[float, MultipartiteSpec]] = []
     specs = _connected_partitions(n)
-    for spec, _, spectrum in _numeric_spectra(report, _labelled(specs)):
-        report.cases += 1
-        radius = spectral_radius(spectrum)
-        e = energy(spectrum)
-        radii.append((radius, spec))
-        energies.append((e, spec))
-        if radius > ub_radius + TOL_RADIUS:
-            _violation(report, spec, "radius_bound", ub_radius, radius)
-        if e < lb_energy - TOL_ENERGY or e > ub_energy + TOL_ENERGY:
-            _violation(report, spec, "energy_bounds", [lb_energy, ub_energy], e)
-        if spec != star and e >= ub_energy - TOL_ENERGY:
-            _violation(report, spec, "energy_upper_equality_unique", "strictly below bound", e)
+    for stack, _, eigs, _, oracle in _numeric_stacks(_labelled(specs)):
+        for spec, radius, e, found in zip(stack, _radii(eigs), _energies(eigs), oracle):
+            report.violations += found
+            report.cases += 1
+            radii.append((radius, spec))
+            energies.append((e, spec))
+            if radius > ub_radius + TOL_RADIUS:
+                _violation(report, spec, "radius_bound", ub_radius, radius)
+            if e < lb_energy - TOL_ENERGY or e > ub_energy + TOL_ENERGY:
+                _violation(report, spec, "energy_bounds", [lb_energy, ub_energy], e)
+            if spec != star and e >= ub_energy - TOL_ENERGY:
+                _violation(report, spec, "energy_upper_equality_unique", "strictly below bound", e)
 
     radii.sort(key=lambda item: item[0], reverse=True)
     energies.sort(key=lambda item: item[0])
@@ -441,42 +441,43 @@ def _sample_indices(count: int, cap: int) -> list[int]:
 
 
 def _check_pair_order(report, n: int, product, partners, predicted: int, sweep=()):
-    # three stages of one order-4n stream: the product K_{n,n} (x) K_2
-    # against the antipodal product spectrum (a = n, diameter 2) and, even
-    # when that spectrum's size is wrong, the predicted energy and the zero
-    # multiplicity; the (spec, graph) partners, which share that energy but
-    # not the zero eigenvalue; the sweep specs, whose energy is 4(order - p)
+    # one order-4n stream in three roles, by position: member 0 is the
+    # product K_{n,n} (x) K_2, checked against the antipodal product spectrum
+    # (a = n, diameter 2) and, even when that spectrum's size is wrong, the
+    # predicted energy and the zero multiplicity; the next len(partners) are
+    # the (spec, graph) partners, which share that energy but not the zero
+    # eigenvalue; the rest are the sweep specs, whose energy is 4(order - p)
     label = [n, n, "x", 2]
-    stream = _numeric_spectra(report, itertools.chain([(label, product)], partners, _labelled(sweep)))
-    _, _, spectrum = next(stream)
-    (found,), _ = _check_spectrum(report, [label], [antipodal_product_spectrum(2 * n, n, 2, 2)],
-                                  [spectrum])
-    report.violations += found
-    e_product = energy(spectrum)
-    zero_mult = int(np.sum(np.abs(np.array(spectrum.eigenvalues)) < ZERO_EIG_TOL))
-    if zero_mult != 2 * n:
-        _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
-    if abs(e_product - predicted) >= TOL_MATCH:
-        _violation(report, label, "product_energy", predicted, e_product)
-    e_partners = []
-    for spec, _, spectrum in itertools.islice(stream, len(partners)):
-        report.cases += 1
-        e = energy(spectrum)
-        e_partners.append(e)
-        _record(report, abs(e_product - e))
-        if abs(e_product - e) >= TOL_MATCH:
-            _violation(report, spec, "pair_energy", e_product, e)
-        if abs(e - predicted) >= TOL_MATCH:
-            _violation(report, spec, "predicted_energy", predicted, e)
-        if np.min(np.abs(np.array(spectrum.eigenvalues))) < ZERO_EIG_TOL:
-            _violation(report, spec, "zero_absent", "no zero eigenvalue", "zero present")
-    for spec, _, spectrum in stream:
-        report.cases += 1
-        e = energy(spectrum)
-        expected = float(4 * (4 * n - spec.p))
-        _record(report, abs(e - expected))
-        if abs(e - expected) >= TOL_MATCH:
-            _violation(report, spec, "equal_order_equal_p_energy", expected, e)
+    sources = itertools.chain([(label, product)], partners, _labelled(sweep))
+    e_product, e_partners = None, []
+    for labels, _, eigs, tols, oracle in _numeric_stacks(sources):
+        zero_counts = np.count_nonzero(np.abs(eigs) < ZERO_EIG_TOL, axis=1).tolist()
+        for spec, e, zeros, found in zip(labels, _energies(eigs), zero_counts, oracle):
+            report.violations += found
+            if e_product is None:
+                closed = antipodal_product_spectrum(2 * n, n, 2, 2)
+                report.violations += _check_spectrum(report, [label], [closed], eigs[:1], tols[:1])[0][0]
+                e_product, zero_mult = e, zeros
+                if zero_mult != 2 * n:
+                    _violation(report, label, "zero_multiplicity", 2 * n, zero_mult)
+                if abs(e_product - predicted) >= TOL_MATCH:
+                    _violation(report, label, "product_energy", predicted, e_product)
+            elif len(e_partners) < len(partners):
+                report.cases += 1
+                e_partners.append(e)
+                _record(report, abs(e_product - e))
+                if abs(e_product - e) >= TOL_MATCH:
+                    _violation(report, spec, "pair_energy", e_product, e)
+                if abs(e - predicted) >= TOL_MATCH:
+                    _violation(report, spec, "predicted_energy", predicted, e)
+                if zeros:
+                    _violation(report, spec, "zero_absent", "no zero eigenvalue", "zero present")
+            else:
+                report.cases += 1
+                expected = float(4 * (4 * n - spec.p))
+                _record(report, abs(e - expected))
+                if abs(e - expected) >= TOL_MATCH:
+                    _violation(report, spec, "equal_order_equal_p_energy", expected, e)
     return e_product, zero_mult, e_partners
 
 

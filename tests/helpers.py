@@ -41,6 +41,24 @@ def square_int_matrices(max_order=5, bound=20):
     )
 
 
+@st.composite
+def descending_stacks(draw):
+    # k rows of n descending values with per-row tolerances; dyadic values
+    # and gaps keep every difference exact, so ties (gap 0) and gaps exactly
+    # equal to tol are planted as drawn, and tol 0 is among the tolerances
+    k, n = draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    tols = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-8]), min_size=k, max_size=k))
+    rows = []
+    for tol in tols:
+        value = draw(st.integers(-64, 64)) / 4
+        row = []
+        for _ in range(n):
+            row.append(value)
+            value -= draw(st.sampled_from([0.0, 0.0, tol, 0.25, 0.5, 1.0, 3.0]))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(k, n), np.array(tols)
+
+
 def partitions_by_brute_force(n: int, smallest: int = 1) -> list[tuple[int, ...]]:
     """The partitions of n into two or more parts, each >= smallest, in
     reverse lexicographic order: the set of every partition of each m <= n,

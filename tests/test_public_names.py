@@ -36,7 +36,8 @@ def test_every_public_name_has_a_reader():
 
 
 STACK_KERNELS = {"_multipartite_adjacency", "_seidel", "_square", "_eccentricity_stack",
-                 "_complement_stack", "_group_stack", "_twin_quotient", "_closed_stack"}
+                 "_complement_stack", "_splits", "_energies", "_radii", "_twin_quotient",
+                 "_closed_stack"}
 
 
 def test_only_the_stack_kernels_cross_modules_as_private_names():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import eccspec as es
 from eccspec import spectra
-from helpers import (group_rows_by_loop, jacobi_eigenvalues, quotient_matrix_loop,
-                     twin_classes_by_loop)
+from helpers import (descending_stacks, group_rows_by_loop, jacobi_eigenvalues,
+                     quotient_matrix_loop, twin_classes_by_loop)
 from eccspec.errors import (
     ConvergenceFailureError,
     EmptySpectrumError,
@@ -344,33 +344,22 @@ def test_group_spectrum_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(PreconditionViolatedError):
         es.group_spectrum([3.0, bad, 1.0], tol=1e-8)
     with pytest.raises(PreconditionViolatedError):
-        spectra._group_stack(np.array([[3.0, 2.0], [bad, 1.0]]), np.array([1e-8, 1e-8]))
-
-
-@st.composite
-def descending_stacks(draw):
-    # k rows of n descending values with per-row tolerances; dyadic values
-    # and gaps keep every difference exact, so ties (gap 0) and gaps exactly
-    # equal to tol are planted as drawn, and tol 0 is among the tolerances
-    k, n = draw(st.integers(1, 5)), draw(st.integers(0, 8))
-    tols = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-8]), min_size=k, max_size=k))
-    rows = []
-    for tol in tols:
-        value = draw(st.integers(-64, 64)) / 4
-        row = []
-        for _ in range(n):
-            row.append(value)
-            value -= draw(st.sampled_from([0.0, 0.0, tol, 0.25, 0.5, 1.0, 3.0]))
-        rows.append(row)
-    return np.array(rows, dtype=np.float64).reshape(k, n), np.array(tols)
+        es.group_spectrum(np.array([2.0, bad]), tol=1e-8)
 
 
 @given(descending_stacks())
 def test_group_stack_matches_the_row_loop(stack):
+    # each row of a stack grouped on its own, at its own tolerance
     eigs, tols = stack
-    grouped = spectra._group_stack(eigs, tols)
+    grouped = [es.group_spectrum(row, tol) for row, tol in zip(eigs, tols)]
     assert [(s.eigenvalues, s.groups) for s in grouped] == group_rows_by_loop(eigs, tols)
     assert all(s.n == eigs.shape[1] for s in grouped)
+
+
+@pytest.mark.parametrize("tol", [None, "nan"])
+def test_group_spectrum_reads_a_non_number_tolerance_as_nan(tol):
+    with pytest.raises(PreconditionViolatedError):
+        es.group_spectrum([1.0, 1.0, -2.0], tol=tol)
 
 
 def test_star_spectrum_groups():

@@ -18,8 +18,8 @@ import eccspec.spectra as spectra
 import eccspec.verification as verification
 from eccspec.cli import main as cli_main
 from eccspec.errors import OrderTooLargeError, PreconditionViolatedError
-from helpers import (char_poly_by_leibniz, partitions_by_brute_force, quotient_matrix_loop,
-                     square_int_matrices)
+from helpers import (char_poly_by_leibniz, descending_stacks, partitions_by_brute_force,
+                     quotient_matrix_loop, square_int_matrices)
 
 # standard partition counts p(1)..p(14)
 PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -259,7 +259,7 @@ FAULTS = [
                  lambda f: lambda n, smallest=1: itertools.chain(itertools.islice(f(n, smallest), 1),
                                                                  f(n, smallest)),
                  es.verify_bounds_and_extremals, (6,), {"radius_argmax_unique"}, id="star_twice"),
-    pytest.param("energy", lambda f: lambda spectrum: f(spectrum) + 1e-6,
+    pytest.param("_energies", lambda f: lambda eigs: [e + 1e-6 for e in f(eigs)],
                  es.verify_bounds_and_extremals, (6,),
                  {"energy_bounds", "energy_upper_attained", "one_large_class_energy"},
                  id="one_large_class_energy"),
@@ -472,12 +472,13 @@ def test_block_path_matches_the_whole_matrix_solve(monkeypatch, labelled):
     monkeypatch.setattr(spectra, "_solve_stack",
                         lambda work: orders.append(work.shape[1]) or core(work))
     members = 0
-    for labels, matrices, grouped, oracle in verification._numeric_stacks(labelled):
-        for matrix, spectrum, found in zip(matrices, grouped, oracle):
+    for labels, matrices, eigs, tols, oracle in verification._numeric_stacks(labelled):
+        for matrix, row, tol, found in zip(matrices, eigs, tols, oracle):
             whole = np.sort(core(matrix[None].astype(np.float64))[0])[::-1]
             norm = max(1.0, float(np.linalg.norm(matrix)))
-            assert np.abs(np.array(spectrum.eigenvalues) - whole).max() <= 1e-12 * norm
-            assert ([m for _, m in spectrum.groups]
+            assert np.abs(row - whole).max() <= 1e-12 * norm
+            assert tol == pytest.approx(1e-8 * norm, rel=1e-15)
+            assert ([m for _, m in es.group_spectrum(row, tol).groups]
                     == [m for _, m in es.group_spectrum(whole, 1e-8 * norm).groups])
             assert found == []
             members += 1
@@ -489,7 +490,7 @@ def test_a_stack_with_one_singleton_spec_is_solved_whole(monkeypatch):
     # a stack goes to the solver in one call, whatever its members' twins
     specs = [es.MultipartiteSpec(parts) for parts in [(3, 3), (4, 2), (2, 2, 2), (3, 2, 1)]]
     calls = _recording_solver(monkeypatch)
-    (labels, matrices, _, _), = verification._numeric_stacks(verification._labelled(specs))
+    (labels, matrices, _, _, _), = verification._numeric_stacks(verification._labelled(specs))
     assert labels == specs
     assert len(calls) == 1 and np.array_equal(calls[0], matrices)
 
@@ -692,19 +693,134 @@ def test_equienergetic_walks_the_partition_recurrence_once(monkeypatch):
     assert walks == [(12, 2)]
 
 
-def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
+def _keep_roots_as_floats(monkeypatch):
     # a float-only root finder splits K_{4,2,2,1,1}'s eigenvalue -2 over two
-    # closed-form entries; the multiplicity check compares them unmerged
+    # closed-form entries
     exact_roots = closed_form._quotient_roots
 
     def float_roots(quotients):
         return [[float(root) for root in roots] for roots in exact_roots(quotients)]
 
     monkeypatch.setattr(closed_form, "_quotient_roots", float_roots)
+
+
+def test_multiplicity_check_catches_integer_roots_kept_as_floats(monkeypatch, capsys):
+    # the multiplicity check compares the closed-form entries unmerged
+    _keep_roots_as_floats(monkeypatch)
     report = es.verify_closed_forms(10)
     assert any(v["check"] == "multiplicities" for v in report.violations)
     assert cli_main(["verify", "--theorem", "1", "--n", "10"]) == 1
     capsys.readouterr()
+
+
+def _split_first_entry(closed):
+    # the same values, with the first entry spread over two entries; an entry
+    # of multiplicity 1 leaves a second entry of multiplicity 0
+    (value, mult), *rest = closed.entries
+    return dataclasses.replace(closed, entries=((value, mult - mult // 2), (value, mult // 2), *rest))
+
+
+def _split_verdicts(eigs, tols, closed):
+    # for each member, whether _check_spectrum finds its multiplicities
+    # right, and whether its grouped numeric spectrum says they are
+    report = es.VerificationReport("multiplicities", eigs.shape[1])
+    found, sized = verification._check_spectrum(report, list(range(len(closed))), closed, eigs, tols)
+    assert all(sized)
+    verdicts = ["multiplicities" not in {f["check"] for f in member} for member in found]
+    grouped = [[m for _, m in es.group_spectrum(row, tol).groups] == [m for _, m in c.entries]
+               for row, tol, c in zip(eigs, tols, closed)]
+    return verdicts, grouped
+
+
+@st.composite
+def stacks_with_multiplicities(draw):
+    # a descending stack of order n >= 1 and, for each row, multiplicities
+    # summing to n: the row's own group sizes, or cuts at random places,
+    # where a repeated cut, or one at 0 or n, gives a multiplicity of 0
+    eigs, tols = draw(descending_stacks().filter(lambda stack: stack[0].shape[1] >= 1))
+    n = eigs.shape[1]
+    mults = []
+    for row, tol in zip(eigs, tols):
+        if draw(st.booleans()):
+            mults.append([m for _, m in es.group_spectrum(row, tol).groups])
+        else:
+            cuts = sorted(draw(st.lists(st.integers(0, n), max_size=n)))
+            mults.append([b - a for a, b in zip([0, *cuts], [*cuts, n])])
+    return eigs, tols, mults
+
+
+@given(stacks_with_multiplicities())
+def test_the_split_check_agrees_with_the_grouped_multiplicities(case):
+    eigs, tols, mults = case
+    closed = [closed_form.ClosedFormSpectrum(tuple((0.0, m) for m in row), "drawn") for row in mults]
+    verdicts, grouped = _split_verdicts(eigs, tols, closed)
+    assert verdicts == grouped
+
+
+def test_the_split_check_agrees_on_every_sweep_member_and_product():
+    # each closed form as it is, which matches, and with its first entry
+    # split, which does not
+    cases = []
+    for n in range(4, 13):
+        for stack, _, eigs, tols, _ in verification._numeric_stacks(
+                verification._labelled(verification._connected_partitions(n))):
+            cases.append((eigs, tols, verification._closed_stack(stack)))
+    for n in range(2, 7):
+        (_, _, eigs, tols, _), = verification._numeric_stacks(_pair_order_sources(n)[:1])
+        cases.append((eigs, tols, [closed_form.antipodal_product_spectrum(2 * n, n, 2, 2)]))
+    for eigs, tols, closed in cases:
+        verdicts, grouped = _split_verdicts(eigs, tols, closed)
+        assert verdicts == grouped == [True] * len(closed)
+        verdicts, grouped = _split_verdicts(eigs, tols, [_split_first_entry(c) for c in closed])
+        assert verdicts == grouped == [False] * len(closed)
+
+
+def test_a_passing_sweep_groups_nothing(monkeypatch):
+    # the harness groups a spectrum only to report a failing multiplicity check
+    calls = []
+    original = verification.group_spectrum
+    monkeypatch.setattr(verification, "group_spectrum",
+                        lambda *args: calls.append(args) or original(*args))
+    assert es.verify_closed_forms(10).passed
+    assert es.verify_bounds_and_extremals(10).passed
+    assert es.verify_equienergetic(4).passed
+    assert calls == []
+    _keep_roots_as_floats(monkeypatch)
+    assert not es.verify_closed_forms(10).passed
+    assert calls
+
+
+def test_stack_reductions_are_bit_equal_to_the_grouped_spectrum():
+    # each stack's energies and radii against those of its members' grouped
+    # spectra, and against the sums written out; no tolerance
+    streams = [verification._labelled(verification._connected_partitions(n)) for n in range(4, 15)]
+    streams += [_pair_order_sources(n) for n in range(2, 7)]
+    members = 0
+    for labelled in streams:
+        for _, _, eigs, tols, _ in verification._numeric_stacks(labelled):
+            for row, tol, e, radius in zip(eigs, tols, verification._energies(eigs), verification._radii(eigs)):
+                spectrum = es.group_spectrum(row, tol)
+                values = spectrum.eigenvalues
+                assert e == es.energy(spectrum) == math.fsum(abs(x) for x in values)
+                assert radius == es.spectral_radius(spectrum) == max(abs(values[0]), abs(values[-1]))
+                members += 1
+    assert members == sum(len(es.enumerate_partitions(n)) for n in range(4, 15)) + sum(range(1, 6)) + 5
+
+
+def test_pair_witnesses_are_bit_equal_to_the_grouped_spectra():
+    # the product's zero count and both energies, as every pair of order
+    # <= 6 reports them, against the grouped spectra of the same solve
+    for n in range(2, 7):
+        for i in range(n - 1):
+            report = es.verify_equienergetic_pair(n, i)
+            product, partner, _ = es.equienergetic_pair(n, i)
+            (_, _, eigs, tols, _), = verification._numeric_stacks([(0, product), (1, partner)])
+            grouped = [es.group_spectrum(row, tol) for row, tol in zip(eigs, tols)]
+            zeros = [sum(abs(x) < verification.ZERO_EIG_TOL for x in s.eigenvalues) for s in grouped]
+            assert report.passed and zeros[1] == 0
+            assert report.witnesses["product_zero_multiplicity"] == zeros[0] == 2 * n
+            assert report.witnesses["product_energy"] == es.energy(grouped[0])
+            assert report.witnesses["partner_energy"] == es.energy(grouped[1])
 
 
 def test_report_schema_is_json_round_trippable():
