@@ -3,8 +3,8 @@
 Each verifier enumerates integer partitions, builds the actual graphs, runs
 the library's own eigensolver (Householder + implicit QL, no LAPACK) on their
 eccentricity matrices, and compares against the closed forms and bounds.
-Partitions come from one depth-first walk, in reverse lexicographic order,
-each built sorted and handed on without a second sort or check.
+Partitions come in reverse lexicographic order, unranked from one count
+table that also caps the order; each is built sorted and handed on as is.
 The equal-order specs of a sweep go through the chain in stacks of at most
 `_STACK_CELLS` matrix entries (or of one matrix, when it alone is larger),
 so a stack holds more small matrices than large ones: one adjacency stack
@@ -39,6 +39,7 @@ Findings land in a VerificationReport; a report passes exactly when its
 violations list is empty.
 """
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -121,44 +122,46 @@ def enumerate_partitions(n: int) -> list[MultipartiteSpec]:
     """
     if n < 1:
         raise ValueError(f"partitions need n >= 1, got {n}")
-    _check_sweep_size(n)
     return list(_connected_partitions(n))
 
 
+def _partition_counts(n: int, smallest: int = 1) -> list[list[int]]:
+    # counts[left][cap], cap <= left <= n: the partitions of left into parts
+    # in [smallest, cap].  Built row by row, it stops at the first order with
+    # over _SWEEP_CAP partitions into two or more parts, counts[left][left - 1]
+    counts = [[1]]
+    for left in range(1, n + 1):
+        row = [0]
+        for cap in range(1, left + 1):
+            row.append(row[-1] + (counts[left - cap][min(cap, left - cap)] if cap >= smallest else 0))
+        if row[left - 1] > _SWEEP_CAP:
+            raise PreconditionViolatedError(f"order {n} has over {_SWEEP_CAP} partitions to sweep")
+        counts.append(row)
+    return counts
+
+
+def _nth_partition(counts, n: int, index: int) -> MultipartiteSpec:
+    # the index-th partition of n into two or more parts in reverse
+    # lexicographic order: a node's partitions run by next part, largest
+    # first, and its row is cumulative in that part, so the next part is the
+    # first whose count reaches index from the end.  Every part is >= 1, so
+    # even a bad index ends the loop.  The tuple is sorted
+    parts, left, cap = [], n, n - 1
+    while left:
+        row = counts[left]
+        total = row[min(cap, left)]
+        cap = bisect.bisect_left(row, total - index, 1)
+        index -= total - row[cap]
+        parts.append(cap)
+        left -= cap
+    return MultipartiteSpec._from_sorted(tuple(parts))
+
+
 def _connected_partitions(n: int, smallest: int = 1):
-    # partitions of n into at least two parts, each >= smallest, in reverse
-    # lexicographic order, by a depth-first walk over (parts so far, what is
-    # left, largest next part allowed).  A node's first partition takes all
-    # that is left as its last part; its other children are pushed smallest
-    # first, so the largest comes off the stack next.  Each tuple is built
-    # sorted and positive, so the spec takes it as it is
-    stack = [((), n, n - 1)]
-    while stack:
-        parts, left, cap = stack.pop()
-        if left <= cap:
-            yield MultipartiteSpec._from_sorted(parts + (left,))
-        for part in range(smallest, min(left - smallest, cap) + 1):
-            stack.append((parts + (part,), left - part, part))
-
-
-def _sweep_sizes(n: int, smallest: int = 1):
-    # for k = 2..n, how many partitions of k have two or more parts, each
-    # >= smallest (1 or 2): p(k) - 1, or p(k) - p(k-1) - 1 with no part 1,
-    # by Euler's pentagonal recurrence for p; neither count falls as k grows
-    p = [1, 1]
-    for k in range(2, n + 1):
-        p.append(sum((-1) ** (j + 1) * p[k - g] for j in range(1, k + 1)
-                     for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= k))
-        yield p[k] - 1 - (smallest - 1) * p[k - 1]
-
-
-def _check_sweep_size(n: int, smallest: int = 1) -> list[int]:
-    # the counts of _sweep_sizes for orders 2..n, which never fall: the walk
-    # stops at the first order past the cap
-    sizes = list(itertools.takewhile(lambda size: size <= _SWEEP_CAP, _sweep_sizes(n, smallest)))
-    if len(sizes) < n - 1:
-        raise PreconditionViolatedError(f"order {n} has over {_SWEEP_CAP} partitions to sweep")
-    return sizes
+    # the partitions of n into two or more parts >= smallest, as a lazy
+    # stream whose table, and so the cap check, is built before it is returned
+    counts = _partition_counts(n, smallest)
+    return (_nth_partition(counts, n, index) for index in range(counts[n][n - 1] if n else 0))
 
 
 def _labelled(specs):
@@ -239,11 +242,11 @@ def _numeric_stacks(labelled):
         yield labels, matrices, eigs, grouping_tol(frob_sq), oracle
 
 
-def _sweep_report(theorem: str, n: int, smallest: int = 1) -> VerificationReport:
+def _sweep(theorem: str, n: int, smallest: int = 1):
+    # the stream checks the cap, so no other work of an order past it is done
     if n < 4:
         raise PreconditionViolatedError(f"verification sweep is defined for n >= 4, got {n}")
-    _check_sweep_size(n, smallest)
-    return VerificationReport(theorem, n)
+    return VerificationReport(theorem, n), _connected_partitions(n, smallest)
 
 
 def _check_spectrum(report, labels, closed, eigs, tols) -> tuple[list[list], list[bool]]:
@@ -301,8 +304,7 @@ def verify_closed_forms(n: int) -> VerificationReport:
     classes all have size >= 2 get the spectrum check only; their
     doubled-complement identity is verify_lemma2's.
     """
-    report = _sweep_report("multipartite_closed_spectra", n)
-    specs = _connected_partitions(n)
+    report, specs = _sweep("multipartite_closed_spectra", n)
     for stack, matrices, eigs, tols, oracle in _numeric_stacks(_labelled(specs)):
         closed = _closed_stack(stack)
         found, sized = _check_spectrum(report, stack, closed, eigs, tols)
@@ -343,8 +345,7 @@ def verify_lemma2(n: int) -> VerificationReport:
     definition, and the doubled complements from the kernel behind
     ecc_via_complement, which confirms its preconditions for the whole stack.
     """
-    report = _sweep_report("complement_identity", n, smallest=2)
-    specs = _connected_partitions(n, smallest=2)
+    report, specs = _sweep("complement_identity", n, smallest=2)
     for chunk, adjacency, matrices in _eccentricity_chunks(_labelled(specs)):
         devs = np.abs(_complement_stack(adjacency) - matrices).max(axis=(1, 2))
         for (spec, _), dev in zip(chunk, devs.astype(np.float64).tolist()):
@@ -367,7 +368,7 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
     minimal, because the naive reading of the extremal statement puts it at
     the minimum and the computation says otherwise.
     """
-    report = _sweep_report("radius_and_energy_bounds", n)
+    report, specs = _sweep("radius_and_energy_bounds", n)
     ub_radius = radius_upper_bound(n)
     lb_energy, ub_energy = energy_bounds(n)
     star = MultipartiteSpec((n - 1, 1))
@@ -375,7 +376,6 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
 
     radii: list[tuple[float, MultipartiteSpec]] = []
     energies: list[tuple[float, MultipartiteSpec]] = []
-    specs = _connected_partitions(n)
     for stack, _, eigs, _, oracle in _numeric_stacks(_labelled(specs)):
         for spec, radius, e, found in zip(stack, _radii(eigs), _energies(eigs), oracle):
             report.violations += found
@@ -434,10 +434,9 @@ def verify_bounds_and_extremals(n: int) -> VerificationReport:
 
 
 def _sample_indices(count: int, cap: int) -> list[int]:
-    if count <= cap:
-        return list(range(count))
-    picked = np.unique(np.linspace(0, count - 1, cap).round().astype(int))
-    return picked.tolist()
+    # numpy's unique(linspace(0, count - 1, cap).round()) in plain Python
+    step = (count - 1) / (cap - 1) if count > cap else 1
+    return [round(i * step) for i in range(min(count, cap))]
 
 
 def _check_pair_order(report, n: int, product, partners, predicted: int, sweep=()):
@@ -517,7 +516,7 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
     if n_max < 2:
         raise PreconditionViolatedError(f"pair construction needs n >= 2, got {n_max}")
     check_order(4 * n_max)
-    sweep_sizes = dict(enumerate(_check_sweep_size(4 * n_max, smallest=2), start=2))
+    counts = _partition_counts(4 * n_max, smallest=2)
     report = VerificationReport("product_equienergetic", n_max)
     sampled_orders = {}
     for n in range(2, n_max + 1):
@@ -531,11 +530,10 @@ def verify_equienergetic(n_max: int) -> VerificationReport:
         partner_specs = [MultipartiteSpec((n + i, n, n, n - i)) for i in range(n - 1)]
         partners = [(partner_specs[0], partner), *_labelled(partner_specs[1:])]
         # equal order + equal class count forces equal energy 4(order - p)
-        available = sweep_sizes[4 * n]
-        picked = set(_sample_indices(available, GROUP_CHECK_CAP))
+        available = counts[4 * n][4 * n - 1]
+        picked = _sample_indices(available, GROUP_CHECK_CAP)
         sampled_orders[str(4 * n)] = {"available": available, "checked": len(picked)}
-        specs = _connected_partitions(4 * n, smallest=2)
-        sweep = (spec for idx, spec in enumerate(specs) if idx in picked)
+        sweep = (_nth_partition(counts, 4 * n, index) for index in picked)
         _check_pair_order(report, n, product, partners, predicted, sweep)
     report.witnesses["equal_order_sweep"] = sampled_orders
     return report

@@ -227,10 +227,10 @@ def test_verify_pair_sweep_rejects_a_single_order(capsys, theorem):
 ])
 def test_oversized_sweeps_are_input_errors_before_any_partition(capsys, monkeypatch, argv):
     # a sweep checks its largest order before order 4 is swept
-    def refuse(n, smallest=1):
+    def refuse(counts, n, index):
         raise AssertionError("a partition was enumerated")
 
-    monkeypatch.setattr(verification, "_connected_partitions", refuse)
+    monkeypatch.setattr(verification, "_nth_partition", refuse)
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

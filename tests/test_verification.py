@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,10 +51,22 @@ def test_sweep_cap_counts_match_the_table(monkeypatch, smallest):
     for n in range(2, len(PARTITION_COUNTS) + 1):
         count = PARTITION_COUNTS[n - 1] - 1 - (smallest - 1) * PARTITION_COUNTS[n - 2]
         monkeypatch.setattr(verification, "_SWEEP_CAP", count)
-        verification._check_sweep_size(n, smallest)
+        assert verification._partition_counts(n, smallest)[n][n - 1] == count
         monkeypatch.setattr(verification, "_SWEEP_CAP", count - 1)
         with pytest.raises(PreconditionViolatedError):
-            verification._check_sweep_size(n, smallest)
+            verification._partition_counts(n, smallest)
+
+
+@pytest.mark.parametrize("smallest", [1, 2, 3])
+def test_partition_count_rows_match_the_brute_force_oracle(smallest):
+    # counts[k][cap] counts the partitions of k into parts in [smallest, cap],
+    # the single part [k] included: the oracle's lists grouped by largest part
+    counts = verification._partition_counts(30, smallest)
+    assert counts[0] == [1]
+    for k in range(1, 31):
+        largest = [parts[0] for parts in partitions_by_brute_force(k, smallest)]
+        largest += [k] * (k >= smallest)
+        assert counts[k] == [sum(part <= cap for part in largest) for cap in range(k + 1)]
 
 
 def test_enumerate_partitions_unique_and_sorted():
@@ -97,10 +110,15 @@ def test_connected_partitions_of_zero_and_one_are_empty():
     assert list(verification._connected_partitions(1)) == []
 
 
-def test_connected_partitions_are_walked_lazily():
-    # the first three of n = 200's 3.97e12 partitions come without the rest
-    first = itertools.islice(verification._connected_partitions(200), 3)
-    assert [spec.parts for spec in first] == [(199, 1), (198, 2), (198, 1, 1)]
+def test_connected_partitions_are_walked_lazily(monkeypatch):
+    # the first three of n = 45's 89,133 partitions come without the rest
+    calls = []
+    original = verification._nth_partition
+    monkeypatch.setattr(verification, "_nth_partition",
+                        lambda counts, n, index: calls.append(index) or original(counts, n, index))
+    first = itertools.islice(verification._connected_partitions(45), 3)
+    assert [spec.parts for spec in first] == [(44, 1), (43, 2), (43, 1, 1)]
+    assert calls == [0, 1, 2]
 
 
 def test_enumerate_partitions_reaches_the_sweep_cap():
@@ -110,10 +128,10 @@ def test_enumerate_partitions_reaches_the_sweep_cap():
 
 @pytest.mark.parametrize("n", [46, 100])
 def test_enumerate_partitions_past_the_sweep_cap_is_rejected_before_any_partition(monkeypatch, n):
-    def refuse(n, smallest=1):
+    def refuse(counts, n, index):
         raise AssertionError("a partition was enumerated")
 
-    monkeypatch.setattr(verification, "_connected_partitions", refuse)
+    monkeypatch.setattr(verification, "_nth_partition", refuse)
     with pytest.raises(PreconditionViolatedError, match=f"order {n} has over 100000 partitions"):
         es.enumerate_partitions(n)
 
@@ -182,8 +200,8 @@ def test_equienergetic_sweep_samples_orders_beyond_the_cap():
 
 
 def test_sampled_sweep_is_the_evenly_spaced_picks_of_the_listed_order(monkeypatch):
-    # the sweep is sampled from the count while the specs stream, so it must
-    # keep exactly the specs that indexing the whole list would pick
+    # the sweep unranks only its picks, so they must be exactly the specs
+    # that indexing the whole list would pick
     built = []
     original = verification._multipartite_adjacency
 
@@ -198,6 +216,48 @@ def test_sampled_sweep_is_the_evenly_spaced_picks_of_the_listed_order(monkeypatc
     listed = list(verification._connected_partitions(28, smallest=2))
     picks = np.unique(np.linspace(0, len(listed) - 1, 400).round().astype(int))
     assert order28[5:] == [listed[i] for i in picks]
+
+
+# partitions of 4n into two or more parts >= 2, for the pair orders n = 2..14
+PAIR_ORDER_COUNTS = [6, 20, 54, 136, 319, 707, 1506, 3093, 6152, 11913, 22518, 41645, 75546]
+
+
+def test_sample_indices_match_numpy_linspace():
+    # every count up to 5000 and every pair order's count of `--nmax 14`
+    for count in [*range(5001), *PAIR_ORDER_COUNTS]:
+        expected = (list(range(count)) if count <= 400
+                    else np.unique(np.linspace(0, count - 1, 400).round().astype(int)).tolist())
+        assert verification._sample_indices(count, 400) == expected
+
+
+def test_equienergetic_unranks_only_the_sampled_specs(monkeypatch):
+    calls = []
+    original = verification._nth_partition
+    monkeypatch.setattr(verification, "_nth_partition",
+                        lambda counts, n, index: calls.append((n, index)) or original(counts, n, index))
+    report = es.verify_equienergetic(14)
+    assert report.passed
+    sweep = report.witnesses["equal_order_sweep"]
+    assert [sweep[str(4 * n)]["available"] for n in range(2, 15)] == PAIR_ORDER_COUNTS
+    expected = [(4 * n, index) for n, count in enumerate(PAIR_ORDER_COUNTS, start=2)
+                for index in verification._sample_indices(count, 400)]
+    assert calls == expected
+    assert len(calls) == sum(min(count, 400) for count in PAIR_ORDER_COUNTS)
+
+
+@pytest.mark.parametrize("runner", [es.verify_closed_forms, es.verify_bounds_and_extremals,
+                                    es.verify_lemma2, es.enumerate_partitions])
+def test_a_huge_order_is_capped_before_it_allocates(runner):
+    # the cap check comes before any work whose size grows with n, such as
+    # the one-large-class spec of verify_bounds_and_extremals
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionViolatedError, match="order 1000000000 has over 100000"):
+            runner(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _drop_last_eigenvalue(closed):
@@ -552,11 +612,11 @@ SWEEPS = [
 
 @pytest.mark.parametrize("runner,n,count", SWEEPS)
 def test_a_sweep_past_the_cap_is_rejected_before_any_partition(monkeypatch, runner, n, count):
-    def refuse(n, smallest=1):
+    def refuse(counts, n, index):
         raise AssertionError("a partition was enumerated")
 
     monkeypatch.setattr(verification, "_SWEEP_CAP", count - 1)
-    monkeypatch.setattr(verification, "_connected_partitions", refuse)
+    monkeypatch.setattr(verification, "_nth_partition", refuse)
     with pytest.raises(PreconditionViolatedError, match=f"over {count - 1} partitions"):
         runner(n)
 
@@ -684,13 +744,16 @@ def test_twin_classes_catch_an_equitable_fault_that_breaks_the_twins(monkeypatch
     assert report.cases == len(es.enumerate_partitions(9))
 
 
-def test_equienergetic_walks_the_partition_recurrence_once(monkeypatch):
-    walks = []
-    original = verification._sweep_sizes
-    monkeypatch.setattr(verification, "_sweep_sizes",
-                        lambda n, smallest=1: walks.append((n, smallest)) or original(n, smallest))
+def test_equienergetic_builds_one_count_table(monkeypatch):
+    # the table of the largest order serves every pair order's sample
+    tables = []
+    original = verification._partition_counts
+    monkeypatch.setattr(verification, "_partition_counts",
+                        lambda n, smallest=1: tables.append((n, smallest)) or original(n, smallest))
+    monkeypatch.setattr(verification, "_connected_partitions",
+                        lambda n, smallest=1: pytest.fail("every partition was streamed"))
     assert es.verify_equienergetic(3).passed
-    assert walks == [(12, 2)]
+    assert tables == [(12, 2)]
 
 
 def _keep_roots_as_floats(monkeypatch):
