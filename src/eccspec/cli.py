@@ -43,7 +43,7 @@ def _round12(x) -> float:
 
 def _parts_list(text: str) -> MultipartiteSpec:
     try:
-        parts = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        parts = [int(tok) for tok in text.replace(" ", "").split(",")]
         return MultipartiteSpec(tuple(parts))
     except (ValueError, EccspecError) as exc:
         raise argparse.ArgumentTypeError(f"bad parts list {text!r}: {exc}") from exc

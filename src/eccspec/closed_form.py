@@ -55,11 +55,13 @@ MAX_CLOSED_ORDER = 2**20
 class ClosedFormSpectrum:
     """Eigenvalues with multiplicities, sorted descending, plus the route.
 
-    Values are exact (int or Surd) wherever the construction allows; floats
-    appear only for irrational roots of a quotient polynomial of degree >= 3,
-    i.e. specs with singletons and at least two distinct large class sizes.
-    quotient_poly is that quotient's polynomial, leading coefficient first,
-    on the route for specs with a singleton, and None on the others.
+    One rule decides every value.  An entry is either an integer, which may
+    repeat (a structural -2, -1 or 2(m - 1), or an integer quotient root),
+    or a simple root of quotient_poly, which never repeats: an exact Surd
+    for a quotient of degree 2, a float otherwise.  So only integers merge,
+    and the simple roots sum by Vieta.  quotient_poly is the equitable
+    quotient's polynomial, leading coefficient first, on the route for specs
+    with a singleton, and None on the others.
     """
 
     entries: tuple[tuple[object, int], ...]
@@ -71,25 +73,26 @@ class ClosedFormSpectrum:
         values = np.array([float(v) for v, _ in self.entries])
         return np.repeat(values, [m for _, m in self.entries])
 
-    def trace(self):
-        """Sum of value*multiplicity, exact.  Float entries are simple roots
-        of quotient_poly, so they sum to -quotient_poly[1] (Vieta) less its
-        other roots: the int entries at which it vanishes."""
-        exact = [(v, m) for v, m in self.entries if not isinstance(v, float)]
-        total = sum(v * m for v, m in exact)
-        if len(exact) < len(self.entries):
+    def trace(self) -> int:
+        """Sum of value*multiplicity, exact.  The integer entries sum
+        exactly; the simple roots sum to -quotient_poly[1] (Vieta) less the
+        quotient's integer roots, the integer entries at which it vanishes."""
+        ints = [(v, m) for v, m in self.entries if isinstance(v, (int, np.integer))]
+        total = sum(v * m for v, m in ints)
+        if len(ints) < len(self.entries):
             poly = self.quotient_poly
-            total -= poly[1] + sum(v for v, _ in exact if type(v) is int and horner(poly, v) == 0)
-        return simplify_value(total)
+            total -= poly[1] + sum(v for v, _ in ints if horner(poly, v) == 0)
+        return total
 
     def energy_exact(self):
         """Sum of |value|*multiplicity, exact: the trace less twice the
         negative part, or None when a negative entry is a float.  The
-        quotient roots interlace 2(m - 1) >= 2: only the least can be < 0."""
+        quotient roots interlace 2(m - 1) >= 2: only the least can be < 0,
+        so the negative part is ints and at most one irrational Surd."""
         negative = [(v, m) for v, m in self.entries if v < 0]
         if any(isinstance(v, float) for v, _ in negative):
             return None
-        return simplify_value(self.trace() - 2 * sum(v * m for v, m in negative))
+        return self.trace() - 2 * sum(v * m for v, m in negative)
 
     def energy(self) -> float:
         """energy_exact(), or else the trace less twice math.fsum of the negatives."""
@@ -100,21 +103,15 @@ class ClosedFormSpectrum:
 
 
 def _sorted_entries(pairs) -> tuple[tuple[object, int], ...]:
+    # ClosedFormSpectrum's rule: only integers merge (into the first one's
+    # place and type); a simple root is keyed apart by its pair index
     merged: dict = {}
-    order: list = []
-    for value, mult in pairs:
-        if mult <= 0:
-            continue
-        value = simplify_value(value)
-        key = value if not isinstance(value, float) else ("f", value)
-        if key in merged:
-            merged[key][1] += mult
-        else:
-            item = [value, mult]
-            merged[key] = item
-            order.append(item)
-    order.sort(key=lambda item: float(item[0]), reverse=True)
-    return tuple((v, m) for v, m in order)
+    for i, (value, mult) in enumerate(pairs):
+        if mult > 0:
+            key = value if isinstance(value, (int, np.integer)) else (i,)
+            first, total = merged.get(key, (value, 0))
+            merged[key] = (first, total + mult)
+    return tuple(sorted(merged.values(), key=lambda entry: float(entry[0]), reverse=True))
 
 
 def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> list[int]:
@@ -134,8 +131,9 @@ def _arrow_char_poly(distinct_sizes: list[tuple[int, int]], singles: int) -> lis
 
 def _quotient_roots(quotients: list[tuple[list[tuple[int, int]], int, list[int]]]) -> list[list]:
     # The simple roots of each (distinct sizes, singles, poly) quotient.
-    # Degree 2 (one distinct large size) keeps exact surds.  Otherwise the
-    # roots are the eigenvalues of the symmetric arrowhead similar to the
+    # Degree 2 (one distinct large size) keeps exact surds, a rational one
+    # as an int: the one place a closed-form value is collapsed.  Otherwise
+    # the roots are the eigenvalues of the symmetric arrowhead similar to the
     # quotient: diagonal 2(m-1) per distinct size and singles-1 in the
     # corner, border sqrt(singles*m*count); the arrowheads of one order are
     # solved by one batched eigvalsh call, which solves each as it would
@@ -148,7 +146,7 @@ def _quotient_roots(quotients: list[tuple[list[tuple[int, int]], int, list[int]]
     arrows: dict[int, list] = {}  # (index, arrowhead) by order
     for i, (sizes, singles, poly) in enumerate(quotients):
         if len(poly) == 3:
-            roots[i] = list(quadratic_roots(-poly[1], poly[2]))
+            roots[i] = [simplify_value(r) for r in quadratic_roots(-poly[1], poly[2])]
             continue
         arrow = np.diag([2.0 * (m - 1) for m, _ in sizes] + [singles - 1.0])
         arrow[-1, :-1] = arrow[:-1, -1] = np.sqrt([float(singles * m * count) for m, count in sizes])
@@ -181,25 +179,25 @@ def _closed_stack(specs) -> list[ClosedFormSpectrum]:
             raise OrderTooLargeError(
                 f"order {spec.n} exceeds the closed form's maximum of {MAX_CLOSED_ORDER} vertices"
             )
-    closed: list = []
-    mixed = []  # (index, structural pairs, quotient) per spec with a singleton
+    shapes = []  # (distinct large sizes with counts, largest first; singles)
     for spec in specs:
-        large = [x for x in spec.parts if x >= 2]
-        singles = spec.p - len(large)
+        counts = Counter(spec.parts)  # parts are sorted, largest first
+        singles = counts.pop(1, 0)
+        shapes.append((list(counts.items()), singles))
+    quotients = [(counts, singles, _arrow_char_poly(counts, singles))
+                 for counts, singles in shapes if singles]
+    solved = zip(quotients, _quotient_roots(quotients))
+    closed = []
+    for spec, (counts, singles) in zip(specs, shapes):
         if singles == 0:
-            pairs = [(2 * (size - 1), count) for size, count in Counter(large).items()]
-            pairs.append((-2, spec.n - spec.p))
+            pairs = [(2 * (size - 1), count) for size, count in counts] + [(-2, spec.n - spec.p)]
             closed.append(ClosedFormSpectrum(_sorted_entries(pairs), CASE_ALL_PARTS_GE_2))
             continue
-        counts = sorted(Counter(large).items(), reverse=True)
-        pairs = [(-2, sum(large) - len(large)), (-1, singles - 1)]
+        (_, _, poly), roots = next(solved)
+        pairs = [(-2, spec.n - spec.p), (-1, singles - 1)]
         pairs.extend((2 * (size - 1), count - 1) for size, count in counts)
-        mixed.append((len(closed), pairs, (counts, singles, _arrow_char_poly(counts, singles))))
-        closed.append(None)
-    quotients = [quotient for _, _, quotient in mixed]
-    for (i, pairs, (_, _, poly)), roots in zip(mixed, _quotient_roots(quotients)):
         pairs.extend((root, 1) for root in roots)
-        closed[i] = ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, tuple(poly))
+        closed.append(ClosedFormSpectrum(_sorted_entries(pairs), CASE_SPLIT_MIXED, tuple(poly)))
     return closed
 
 

@@ -49,6 +49,7 @@ class Graph:
         adj = np.array(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
+        check_order(adj.shape[0])
         if adj.shape[0] == 0:
             raise ValueError("graphs have at least one vertex")
         if not np.array_equal(adj, adj.T):

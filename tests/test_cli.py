@@ -296,6 +296,8 @@ def test_identical_invocations_are_byte_identical(capsys):
         ["spectrum", "--g6", "D?{", "--tol", "inf"],
         ["spectrum", "--g6", "D?{", "--tol", "-1"],
         ["spectrum", "--parts", "2"],
+        ["energy", "--parts", "3,,1"],
+        ["spectrum", "--parts", "3,1,"],
     ],
 )
 def test_input_errors_exit_with_code_two(capsys, argv):

@@ -273,6 +273,44 @@ def test_every_closed_form_up_to_order_22_has_an_exact_trace_and_energy():
                     math.fsum(abs(float(v)) * m for v, m in closed.entries), rel=1e-12)
 
 
+def test_trace_does_no_surd_arithmetic(monkeypatch):
+    # every root that is not an integer goes through Vieta, the surds included
+    closed = [es.multipartite_spectrum_closed(parts) for parts in ([3, 1], [2, 2, 1], [2] + [1] * 1000)]
+    assert all(any(isinstance(v, Surd) for v, _ in c.entries) for c in closed)
+
+    def refuse(*args):
+        raise AssertionError("trace() did Surd arithmetic")
+
+    for name in ["__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__"]:
+        monkeypatch.setattr(Surd, name, refuse)
+    assert [c.trace() for c in closed] == [0, 0, 0]
+
+
+def test_only_integers_repeat_and_every_surd_solves_its_quadratic():
+    for n in range(2, 23):
+        for closed in closed_form._closed_stack(es.enumerate_partitions(n)):
+            values = [v for v, _ in closed.entries]
+            # strictly descending: no two entries share a value
+            assert all(a > b for a, b in zip(values, values[1:])), closed
+            for value, mult in closed.entries:
+                if not isinstance(value, int):
+                    assert mult == 1, closed
+                if isinstance(value, Surd):
+                    _, minus_s, c = closed.quotient_poly
+                    assert value * value + minus_s * value + c == 0, closed
+
+
+def test_sorted_entries_merge_integers_only():
+    root, conjugate = Surd(1, 1, 5), Surd(1, -1, 5)
+    pairs = [(-2, 3), (2, 1), (5, 0), (2.0, 1), (root, 1), (-2, 1), (2, 2), (conjugate, 1)]
+    entries = closed_form._sorted_entries(pairs)
+    # the merged 2 keeps its first place, ahead of the float 2.0 it ties
+    assert entries == ((root, 1), (2, 3), (2.0, 1), (conjugate, 1), (-2, 4))
+    assert [type(v) for v, _ in entries] == [Surd, int, float, Surd, int]
+    assert [type(v) for v, _ in closed_form._sorted_entries([(2.0, 1), (2, 1)])] == [float, int]
+    assert closed_form._sorted_entries([(3, 0), (1.5, 0)]) == ()
+
+
 def test_multiplicities_sum_to_the_order():
     for n in range(2, 10):
         for spec in es.enumerate_partitions(n):
@@ -403,6 +441,13 @@ def test_product_spectrum_balanced_bipartite_times_edge():
     assert closed.case_tag == closed_form.CASE_PRODUCT_THM5
     assert closed.entries == ((8, 2), (0, 6), (-4, 4))
     assert closed.energy() == pytest.approx(32)
+
+
+def test_product_spectrum_takes_numpy_integers():
+    closed = es.antipodal_product_spectrum(*map(np.int64, (6, 3, 2, 2)))
+    assert closed.entries == ((8, 2), (0, 6), (-4, 4))
+    assert closed.trace() == 0
+    assert closed.energy() == 32.0
 
 
 def test_product_spectrum_k22_times_edge():

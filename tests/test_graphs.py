@@ -418,5 +418,7 @@ def test_generators_bound_the_order_but_closed_forms_do_not():
         es.strong_product(es.complete(65), es.complete(64))
     with pytest.raises(OrderTooLargeError):
         es.Graph.from_edges(MAX_ORDER + 1, [])
+    with pytest.raises(OrderTooLargeError):
+        es.Graph(np.zeros((MAX_ORDER + 1, MAX_ORDER + 1), dtype=bool))
     closed = es.multipartite_spectrum_closed([MAX_ORDER, 1])
     assert sum(m for _, m in closed.entries) == MAX_ORDER + 1
