@@ -179,7 +179,7 @@ def _closed_stack(specs) -> list[ClosedFormSpectrum]:
             raise OrderTooLargeError(
                 f"order {spec.n} exceeds the closed form's maximum of {MAX_CLOSED_ORDER} vertices"
             )
-    shapes = []  # (distinct large sizes with counts, largest first; singles)
+    shapes = []  # (distinct large sizes with their counts, singles) per spec
     for spec in specs:
         counts = Counter(spec.parts)  # parts are sorted, largest first
         singles = counts.pop(1, 0)
